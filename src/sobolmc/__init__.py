@@ -13,27 +13,16 @@ from .core import (
     EvalCounter,
     IndexSet,
     RngSpec,
-    SampleBlock,
-    as_point,
     blend,
-    complement,
-    draw_block,
 )
 from .estimators import (
-    COSTS,
+    KINDS,
     Accumulator,
     EstimateReport,
     EstimatorKind,
     accumulate_terms,
-    estimate_original,
     run_estimator,
     run_multi_u,
-    term_correlation1,
-    term_correlation2,
-    term_generalized,
-    term_oracle1,
-    term_oracle2,
-    term_upper,
 )
 from .experiments import (
     CSV_HEADER,

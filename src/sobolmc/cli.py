@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .core import DimensionError, IndexSet, RngSpec
-from .estimators import EstimatorKind, run_estimator
+from .estimators import TAG_OF_ALIAS, EstimatorKind, run_estimator
 from .experiments import (
     BUILTIN_STUDIES,
     config_from_json,
@@ -45,16 +45,6 @@ from .models import (
     product_set_indices,
 )
 from .verification import verify_suite
-
-_ESTIMATOR_ALIASES = {
-    "corr1": "correlation1",
-    "corr2": "correlation2",
-    "orcl1": "oracle1",
-    "orcl2": "oracle2",
-    "gen": "generalized",
-    "upper": "upper",
-    "original": "original",
-}
 
 MAX_ANOVA_LISTING_DIM = 12
 
@@ -113,25 +103,13 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 def _cmd_estimate(args) -> int:
     model = _load_model(args.model)
     u = _parse_set(args.u, model.dim)
-    tag = _ESTIMATOR_ALIASES[args.estimator]
-    if tag == "oracle1":
-        kind = EstimatorKind.oracle1(args.center)
-    elif tag == "oracle2":
-        kind = EstimatorKind.oracle2(args.center)
-    elif tag == "generalized":
+    tag = TAG_OF_ALIAS[args.estimator]
+    v = v2 = None
+    if tag == "generalized":
         v = _parse_set(args.v, model.dim, "--v") if args.v is not None else None
         v2 = _parse_set(args.v2, model.dim, "--v2") if args.v2 is not None else None
-        try:
-            kind = EstimatorKind.generalized(v, v2)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        kind = EstimatorKind(tag)
-
-    try:
-        report = run_estimator(model, kind, u, args.n, RngSpec(args.seed))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    kind = EstimatorKind.of(tag, args.center, v, v2)
+    report = run_estimator(model, kind, u, args.n, RngSpec(args.seed))
     _emit(
         [
             {
@@ -253,7 +231,6 @@ def _cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         max_states=args.max_states,
-        corrupt=args.corrupt,
         log=print,
     )
     return 0 if ok else 1
@@ -276,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--model", required=True, help="builtin alias (g, product6) or JSON file")
     p_est.add_argument("--u", required=True, help='target coordinates, e.g. "1,3"')
     p_est.add_argument(
-        "--estimator", choices=sorted(_ESTIMATOR_ALIASES), default="corr2"
+        "--estimator", choices=sorted(TAG_OF_ALIAS), default="corr2"
     )
     p_est.add_argument("--n", type=int, default=100_000, help="samples (default 1e5)")
     p_est.add_argument("--center", type=float, default=None, help="oracle center (default: exact mean)")
@@ -308,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=5)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--max-states", type=int, default=10_000_000)
-    p_ver.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -121,20 +121,6 @@ class IndexSet:
         return "{" + ",".join(str(j) for j in self.members()) + "}"
 
 
-def as_point(coords, dim: int | None = None) -> np.ndarray:
-    """Validate and return a float64 point in [0,1)^d."""
-    x = np.asarray(coords, dtype=np.float64)
-    if x.ndim != 1:
-        raise DimensionError(f"a point must be one-dimensional, got shape {x.shape}")
-    if dim is not None and x.shape[0] != dim:
-        raise DimensionError(f"expected dimension {dim}, got {x.shape[0]}")
-    if x.shape[0] > MAX_DIM:
-        raise DimensionError(f"dimension {x.shape[0]} exceeds the cap {MAX_DIM}")
-    if np.any(x < 0.0) or np.any(x >= 1.0):
-        raise ValueError("point coordinates must lie in [0, 1)")
-    return x
-
-
 def blend(x: np.ndarray, y: np.ndarray, u: IndexSet) -> np.ndarray:
     """Coordinate-blend two points: take x on u and y on the complement.
 
@@ -149,10 +135,6 @@ def blend(x: np.ndarray, y: np.ndarray, u: IndexSet) -> np.ndarray:
             f"{x.shape[-1]} and {y.shape[-1]}"
         )
     return np.where(u.mask(), x, y)
-
-
-def complement(u: IndexSet) -> IndexSet:
-    return u.complement()
 
 
 class EvalCounter:
@@ -202,18 +184,8 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class SampleBlock:
-    """One draw of the four independent input vectors."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
-
-
 class BlockSampler:
-    """Stateful sampler producing uniform [0,1)^d blocks from role streams.
+    """Stateful sampler producing uniform [0,1)^d points from role streams.
 
     Two samplers built from the same RngSpec produce identical sequences;
     consuming a role does not advance the other roles' streams, so e.g. an
@@ -231,11 +203,3 @@ class BlockSampler:
     def draw_role(self, role: str, n: int) -> np.ndarray:
         """n points of shape (n, dim) from one role's stream."""
         return self._streams[role].random((n, self.dim))
-
-    def draw_block(self) -> SampleBlock:
-        return SampleBlock(*(self.draw_role(role, 1)[0] for role in ROLES))
-
-
-def draw_block(spec: RngSpec, dim: int) -> SampleBlock:
-    """One-shot convenience wrapper around BlockSampler."""
-    return BlockSampler(spec, dim).draw_block()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,28 +39,30 @@ from .models import Model
 
 DEFAULT_BATCH = 32768
 
-#: function values consumed per sample, by estimator kind
-COSTS = {
-    "original": 2,
-    "correlation1": 3,
-    "correlation2": 4,
-    "oracle1": 3,
-    "oracle2": 2,
-    "generalized": 4,
-    "upper": 2,
+
+class KindInfo(NamedTuple):
+    """What one estimator kind costs and consumes, and its short name."""
+
+    cost: int  # function values per sample
+    roles: tuple[str, ...]  # independent input vectors, in stream order
+    alias: str  # CLI and experiment-config name
+
+
+#: every estimator kind, keyed by tag
+KINDS = {
+    "original": KindInfo(2, ("x", "y"), "original"),
+    "correlation1": KindInfo(3, ("x", "y"), "corr1"),
+    "correlation2": KindInfo(4, ("x", "y", "z"), "corr2"),
+    "oracle1": KindInfo(3, ("x", "y"), "orcl1"),
+    "oracle2": KindInfo(2, ("x", "y"), "orcl2"),
+    "generalized": KindInfo(4, ("x", "y", "z", "w"), "gen"),
+    "upper": KindInfo(2, ("x", "y"), "upper"),
 }
+
+#: tag of each short name
+TAG_OF_ALIAS = {info.alias: tag for tag, info in KINDS.items()}
 
 _ORACLE_TAGS = ("oracle1", "oracle2")
-
-_ROLES_NEEDED = {
-    "original": ("x", "y"),
-    "correlation1": ("x", "y"),
-    "correlation2": ("x", "y", "z"),
-    "oracle1": ("x", "y"),
-    "oracle2": ("x", "y"),
-    "generalized": ("x", "y", "z", "w"),
-    "upper": ("x", "y"),
-}
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class EstimatorKind:
     v2: IndexSet | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in COSTS:
+        if self.tag not in KINDS:
             raise ValueError(f"unknown estimator tag {self.tag!r}")
         if self.center is not None:
             if self.tag not in _ORACLE_TAGS:
@@ -91,7 +93,25 @@ class EstimatorKind:
 
     @property
     def cost(self) -> int:
-        return COSTS[self.tag]
+        return KINDS[self.tag].cost
+
+    @classmethod
+    def of(
+        cls,
+        tag: str,
+        center: float | None = None,
+        v: IndexSet | None = None,
+        v2: IndexSet | None = None,
+    ) -> "EstimatorKind":
+        """The kind ``tag``, keeping only the parameters it takes.
+
+        A study-wide or command-line ``center`` applies to the oracle kinds
+        and is dropped for the others; likewise ``v``/``v2`` for all but
+        the generalized kind.
+        """
+        oracle = tag in _ORACLE_TAGS
+        gen = tag == "generalized"
+        return cls(tag, center if oracle else None, v if gen else None, v2 if gen else None)
 
     @classmethod
     def original(cls) -> "EstimatorKind":
@@ -120,70 +140,6 @@ class EstimatorKind:
     @classmethod
     def upper(cls) -> "EstimatorKind":
         return cls("upper")
-
-    def __str__(self) -> str:
-        parts = [self.tag]
-        if self.center is not None:
-            parts.append(f"c={self.center}")
-        if self.v is not None:
-            parts.append(f"v={self.v}")
-        if self.v2 is not None:
-            parts.append(f"v2={self.v2}")
-        return "(".join([parts[0], ",".join(parts[1:])]) + ")" if len(parts) > 1 else self.tag
-
-
-# ---------------------------------------------------------------------------
-# per-sample terms
-
-
-def term_correlation1(model: Model, x, y, u: IndexSet):
-    """f(x) (f(x_u#y_-u) - f(y)); expectation lower_u."""
-    return model.evaluate(x) * (model.evaluate(blend(x, y, u)) - model.evaluate(y))
-
-
-def term_correlation2(model: Model, x, y, z, u: IndexSet):
-    """(f(x) - f(z_u#x_-u)) (f(x_u#y_-u) - f(y)); expectation lower_u.
-
-    Both factors are centered by an extra pick-freeze value, so each one
-    vanishes per sample when f does not depend on the u coordinates.
-    """
-    left = model.evaluate(x) - model.evaluate(blend(z, x, u))
-    right = model.evaluate(blend(x, y, u)) - model.evaluate(y)
-    return left * right
-
-
-def term_oracle1(model: Model, x, y, u: IndexSet, c: float):
-    """(f(x) - c) (f(x_u#y_-u) - f(y)); expectation lower_u for any c."""
-    return (model.evaluate(x) - c) * (model.evaluate(blend(x, y, u)) - model.evaluate(y))
-
-
-def term_oracle2(model: Model, x, y, u: IndexSet, c: float):
-    """(f(x) - c) (f(x_u#y_-u) - c); expectation lower_u requires c = mu."""
-    return (model.evaluate(x) - c) * (model.evaluate(blend(x, y, u)) - c)
-
-
-def term_generalized(model: Model, x, y, z, w, u: IndexSet, v: IndexSet, v2: IndexSet):
-    """(f(x) - f(x_v#z_-v)) (f(x_u#y_-u) - f(y_v'#w_-v')); expectation lower_u.
-
-    Valid for any v, v2 disjoint from u.  v = v2 = complement(u), with the
-    u-part of w taken from y, collapses to the correlation2 term.
-    """
-    if not v.isdisjoint(u) or not v2.isdisjoint(u):
-        raise ValueError(f"v={v} and v2={v2} must be disjoint from u={u}")
-    left = model.evaluate(x) - model.evaluate(blend(x, z, v))
-    right = model.evaluate(blend(x, y, u)) - model.evaluate(blend(y, w, v2))
-    return left * right
-
-
-def term_upper(model: Model, x, y, u: IndexSet):
-    """(1/2) (f(x) - f(y_u#x_-u))^2; expectation upper_u.
-
-    The u coordinates are resampled from y while the rest stay shared, so
-    the difference kills every ANOVA effect not touching u; if upper_u = 0
-    the term is exactly 0 for every sample.
-    """
-    diff = model.evaluate(x) - model.evaluate(blend(y, x, u))
-    return 0.5 * diff * diff
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +193,6 @@ class Accumulator:
         self.mean += delta * n2 / n
         self.m2 += m22 + delta * delta * self.n * n2 / n
         self.n = n
-
-    def copy(self) -> "Accumulator":
-        return Accumulator(self.n, self.mean, self.m2)
 
     def variance(self, ddof: int = 1) -> float:
         """Sample variance of the accumulated terms (n-1 divisor)."""
@@ -309,19 +262,30 @@ class _BatchEvals:
         return self._cache[key]
 
 
-def _batch_terms(ev: _BatchEvals, kind: EstimatorKind, u: IndexSet, center: float | None):
+def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
+    """Per-sample terms of ``kind`` for target set u; the one place each is written.
+
+    ``ev`` is any value source with ``plain(role)`` and ``blended(a, b, u)``:
+    a sample batch (``_BatchEvals``) or every joint grid state of a
+    tabulated model (``theory._GridEvals``), so the exact oracle checks the
+    same algebra the sampler streams.  ``original`` yields its raw cross
+    moment f(x) f(x_u#y_-u).
+    """
     tag = kind.tag
     if tag == "correlation1":
         return ev.plain("x") * (ev.blended("x", "y", u) - ev.plain("y"))
     if tag == "correlation2":
+        # both factors are centered by a pick-freeze value, so each one
+        # vanishes per sample when f does not depend on the u coordinates
         return (ev.plain("x") - ev.blended("z", "x", u)) * (
             ev.blended("x", "y", u) - ev.plain("y")
         )
     if tag == "oracle1":
         return (ev.plain("x") - center) * (ev.blended("x", "y", u) - ev.plain("y"))
-    if tag == "oracle2":
+    if tag == "oracle2":  # expectation lower_u needs c = mu; oracle1's holds for any c
         return (ev.plain("x") - center) * (ev.blended("x", "y", u) - center)
     if tag == "generalized":
+        # v = v2 = complement(u) with the u part of w taken from y is correlation2
         v = kind.v if kind.v is not None else u.complement()
         v2 = kind.v2 if kind.v2 is not None else u.complement()
         if not v.isdisjoint(u) or not v2.isdisjoint(u):
@@ -332,13 +296,41 @@ def _batch_terms(ev: _BatchEvals, kind: EstimatorKind, u: IndexSet, center: floa
     if tag == "upper":
         diff = ev.plain("x") - ev.blended("y", "x", u)
         return 0.5 * diff * diff
-    raise ValueError(f"no streaming term for {tag!r}")
+    if tag == "original":
+        return ev.plain("x") * ev.blended("x", "y", u)
+    raise ValueError(f"no term for {tag!r}")
 
 
 def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:
     if kind.tag not in _ORACLE_TAGS:
         return None
     return model.mean() if kind.center is None else kind.center
+
+
+def _batches(
+    model: Model,
+    roles: Sequence[str],
+    us: Sequence[IndexSet],
+    n: int,
+    rng: RngSpec,
+    batch_size: int,
+) -> Iterator[_BatchEvals]:
+    """The streaming loop every runner shares: n samples in batch_size chunks."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if not us:
+        raise ValueError("need at least one target set")
+    for u in us:
+        if u.dim != model.dim:
+            raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
+    sampler = BlockSampler(rng, model.dim)
+    done = 0
+    while done < n:
+        b = min(batch_size, n - done)
+        yield _BatchEvals(model, {role: sampler.draw_role(role, b) for role in roles})
+        done += b
 
 
 def accumulate_terms(
@@ -355,28 +347,15 @@ def accumulate_terms(
     function evaluations.  Not defined for the original kind, whose
     estimate is not a plain term mean.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if not us:
-        raise ValueError("need at least one target set")
-    for u in us:
-        if u.dim != model.dim:
-            raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
     if kind.tag == "original":
         raise ValueError("the original estimator is not a plain term mean")
 
     center = _resolve_center(model, kind)
-    sampler = BlockSampler(rng, model.dim)
-    roles = _ROLES_NEEDED[kind.tag]
     accs = {u: Accumulator() for u in us}
     start = model.counter.count
-    done = 0
-    while done < n:
-        b = min(batch_size, n - done)
-        ev = _BatchEvals(model, {role: sampler.draw_role(role, b) for role in roles})
+    for ev in _batches(model, KINDS[kind.tag].roles, us, n, rng, batch_size):
         for u in us:
             accs[u].add_batch(_batch_terms(ev, kind, u, center))
-        done += b
     return accs, model.counter.count - start
 
 
@@ -399,11 +378,6 @@ def run_multi_u(
     thread scheduling; batch_size is the deterministic partition policy.
     """
     if kind.tag == "original":
-        if n < 1:
-            raise ValueError("need at least one sample")
-        for u in us:
-            if u.dim != model.dim:
-                raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
         return _run_original_multi(model, us, n, rng, batch_size)
     accs, evals = accumulate_terms(model, kind, us, n, rng, batch_size)
     return [
@@ -435,29 +409,23 @@ def run_estimator(
 def _run_original_multi(model, us, n, rng, batch_size) -> list[EstimateReport]:
     if n < 2:
         raise ValueError("the original estimator needs n >= 2")
-    sampler = BlockSampler(rng, model.dim)
+    kind = EstimatorKind.original()
     cross = {u: Accumulator() for u in us}
     fb_mean = {u: Accumulator() for u in us}
     fx_mean = Accumulator()
     start = model.counter.count
-    done = 0
-    while done < n:
-        b = min(batch_size, n - done)
-        ev = _BatchEvals(model, {role: sampler.draw_role(role, b) for role in ("x", "y")})
-        fx = ev.plain("x")
-        fx_mean.add_batch(fx)
+    for ev in _batches(model, KINDS["original"].roles, us, n, rng, batch_size):
+        fx_mean.add_batch(ev.plain("x"))
         for u in us:
-            fb = ev.blended("x", "y", u)
-            cross[u].add_batch(fx * fb)
-            fb_mean[u].add_batch(fb)
-        done += b
+            cross[u].add_batch(_batch_terms(ev, kind, u, None))
+            fb_mean[u].add_batch(ev.blended("x", "y", u))
     evals = model.counter.count - start
     reports = []
     for u in us:
         mu_hat = 0.5 * (fx_mean.mean + fb_mean[u].mean)
         reports.append(
             EstimateReport(
-                kind=EstimatorKind.original(),
+                kind=kind,
                 u=u,
                 n=n,
                 estimate=cross[u].mean - mu_hat**2,
@@ -468,33 +436,3 @@ def _run_original_multi(model, us, n, rng, batch_size) -> list[EstimateReport]:
             )
         )
     return reports
-
-
-def estimate_original(model: Model, xs, ys, u: IndexSet) -> EstimateReport:
-    """Cross-moment estimator with the pooled mean correction.
-
-    estimate = (1/n) sum f(x_i) f(x_i,u # y_i,-u) - muhat^2 with
-    muhat = (1/2n) sum (f(x_i) + f(x_i,u # y_i,-u)).  Biased: the
-    squared mean estimate does not decouple from the cross term.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape != ys.shape:
-        raise DimensionError("xs and ys must be (n, d) arrays of equal shape")
-    n = xs.shape[0]
-    if n < 2:
-        raise ValueError("the original estimator needs n >= 2")
-    start = model.counter.count
-    fx = model.evaluate(xs)
-    fb = model.evaluate(blend(xs, ys, u))
-    mu_hat = (float(fx.sum()) + float(fb.sum())) / (2.0 * n)
-    return EstimateReport(
-        kind=EstimatorKind.original(),
-        u=u,
-        n=n,
-        estimate=float(np.mean(fx * fb)) - mu_hat**2,
-        term_variance=None,
-        std_error=None,
-        evals=model.counter.count - start,
-        biased=True,
-    )

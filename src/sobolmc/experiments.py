@@ -31,8 +31,9 @@ import numpy as np
 
 from .core import IndexSet, RngSpec
 from .estimators import (
-    COSTS,
     DEFAULT_BATCH,
+    KINDS,
+    TAG_OF_ALIAS,
     Accumulator,
     EstimatorKind,
     accumulate_terms,
@@ -48,13 +49,6 @@ CSV_HEADER = (
     "eff_corr1,eff_corr2,eff_orcl1,eff_orcl2,"
     "se_eff_corr2,se_eff_orcl1,se_eff_orcl2"
 )
-
-_COLUMN_OF_KIND = {
-    "correlation1": "corr1",
-    "correlation2": "corr2",
-    "oracle1": "orcl1",
-    "oracle2": "orcl2",
-}
 
 #: pair rows of the product6 study whose widely circulated relative-index
 #: values disagree with the product variance identity
@@ -114,6 +108,8 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 samples per replicate")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         allowed = set(COMPARED_KINDS) | ({"original"} if self.include_original else set())
         bad = [k for k in self.kinds if k not in allowed]
         if bad:
@@ -138,7 +134,7 @@ class EfficiencyRow:
     var_corr2: float | None
     var_orcl1: float | None
     var_orcl2: float | None
-    eff_corr1: float
+    eff_corr1: float | None
     eff_corr2: float | None
     eff_orcl1: float | None
     eff_orcl2: float | None
@@ -196,7 +192,7 @@ def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
     rng = RngSpec(config.seed, rep)
     out: dict[str, dict[IndexSet, Accumulator | float]] = {}
     for tag in config.kinds:
-        kind = _make_kind(tag, config.center)
+        kind = EstimatorKind.of(tag, config.center)
         if tag == "original":
             reports = run_multi_u(local, kind, config.us, config.n, rng, config.batch_size)
             out[tag] = {r.u: r.estimate for r in reports}
@@ -206,12 +202,11 @@ def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
     return out, local.counter.count
 
 
-def _make_kind(tag: str, center: float | None) -> EstimatorKind:
-    if tag == "oracle1":
-        return EstimatorKind.oracle1(center)
-    if tag == "oracle2":
-        return EstimatorKind.oracle2(center)
-    return EstimatorKind(tag)
+def _defined_efficiency(var_base: float, var_other: float, tag: str) -> float | None:
+    """``efficiency`` of tag against correlation1; None if either variance is 0."""
+    if var_base == 0.0 or var_other == 0.0:
+        return None
+    return efficiency(var_base, var_other, KINDS["correlation1"].cost, KINDS[tag].cost)
 
 
 def _pool(accs: list[Accumulator]) -> Accumulator:
@@ -265,23 +260,30 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
         accs = {tag: [rep[tag][u] for rep in per_rep] for tag in sampled_kinds}
         var = {tag: _pool(accs[tag]).variance() for tag in sampled_kinds}
 
-        eff: dict[str, float | None] = {"correlation1": 1.0}
+        # a zero term variance (inert target coordinates) leaves every
+        # efficiency against it undefined, reported as None
+        zero = [tag for tag in sampled_kinds if var[tag] == 0.0]
+        eff: dict[str, float | None] = {"correlation1": None if "correlation1" in zero else 1.0}
         se: dict[str, float | None] = {}
         for tag in ("correlation2", "oracle1", "oracle2"):
+            eff[tag] = se[tag] = None
             if tag not in var:
-                eff[tag] = None
-                se[tag] = None
                 continue
-            eff[tag] = efficiency(var["correlation1"], var[tag], COSTS["correlation1"], COSTS[tag])
-            if config.replicates < 2:
-                se[tag] = None
+            eff[tag] = _defined_efficiency(var["correlation1"], var[tag], tag)
+            if eff[tag] is None or config.replicates < 2:
                 continue
             loo = []
             for k in range(config.replicates):
                 v1 = _pool([a for i, a in enumerate(accs["correlation1"]) if i != k]).variance()
                 vk = _pool([a for i, a in enumerate(accs[tag]) if i != k]).variance()
-                loo.append(efficiency(v1, vk, COSTS["correlation1"], COSTS[tag]))
-            se[tag] = _jackknife_se(loo)
+                loo.append(_defined_efficiency(v1, vk, tag))
+            se[tag] = None if None in loo else _jackknife_se(loo)
+        notes = [config.notes.get(u, "")]
+        if zero:
+            notes.append(
+                "zero term variance for " + ", ".join(KINDS[t].alias for t in zero)
+                + "; efficiencies against a zero variance are undefined"
+            )
 
         originals = None
         if "original" in config.kinds:
@@ -295,14 +297,14 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
                 var_corr2=var.get("correlation2"),
                 var_orcl1=var.get("oracle1"),
                 var_orcl2=var.get("oracle2"),
-                eff_corr1=1.0,
+                eff_corr1=eff["correlation1"],
                 eff_corr2=eff["correlation2"],
                 eff_orcl1=eff["oracle1"],
                 eff_orcl2=eff["oracle2"],
                 se_eff_corr2=se["correlation2"],
                 se_eff_orcl1=se["oracle1"],
                 se_eff_orcl2=se["oracle2"],
-                note=config.notes.get(u, ""),
+                note="; ".join(filter(None, notes)),
                 original_estimate=originals,
             )
         )
@@ -424,24 +426,12 @@ _CONFIG_KEYS = {
     "kinds", "include_original", "batch_size", "workers",
 }
 
-_KIND_ALIASES = {
-    "corr1": "correlation1",
-    "corr2": "correlation2",
-    "orcl1": "oracle1",
-    "orcl2": "oracle2",
-    "original": "original",
-    "correlation1": "correlation1",
-    "correlation2": "correlation2",
-    "oracle1": "oracle1",
-    "oracle2": "oracle2",
-}
-
-
 def config_from_json(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON document.
 
     ``model`` is a builtin alias or a nested model document; ``us`` is a
-    list of coordinate lists; ``center`` is a number or "mean".
+    list of coordinate lists; ``center`` is a number or "mean";
+    ``workers`` is an integer >= 1 or null.
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment configuration must be a JSON object")
@@ -457,12 +447,17 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     center = obj.get("center")
     if center == "mean":
         center = None
+    elif center is not None and type(center) not in (int, float):  # bool is not a number here
+        raise ValueError(f"'center' must be a number or \"mean\", got {center!r}")
+    workers = obj.get("workers")
+    if workers is not None and (type(workers) is not int or workers < 1):
+        raise ValueError(f"'workers' must be an integer >= 1 or null, got {workers!r}")
     include_original = bool(obj.get("include_original", False))
     kinds = obj.get("kinds")
     if kinds is None:
         resolved = COMPARED_KINDS + (("original",) if include_original else ())
     else:
-        resolved = tuple(_KIND_ALIASES.get(k, k) for k in kinds)
+        resolved = tuple(TAG_OF_ALIAS.get(k, k) for k in kinds)
     return ExperimentConfig(
         model=model,
         us=us,
@@ -473,5 +468,5 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         kinds=resolved,
         include_original=include_original,
         batch_size=int(obj.get("batch_size", DEFAULT_BATCH)),
-        workers=obj.get("workers"),
+        workers=workers,
     )

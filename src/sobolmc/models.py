@@ -124,9 +124,6 @@ class AnovaReport:
     lower_u: dict[IndexSet, float]
     upper_u: dict[IndexSet, float]
 
-    def rel_lower(self, u: IndexSet) -> float:
-        return self.lower_u[u] / self.sigma2
-
 
 class Model:
     """Base class: a deterministic function on [0,1)^d with eval counting."""
@@ -155,9 +152,6 @@ class Model:
         self.counter.add(int(np.prod(x.shape[:-1], dtype=np.int64)) if x.ndim > 1 else 1)
         out = self._values(x)
         return float(out) if x.ndim == 1 else out
-
-    def __call__(self, x) -> float | np.ndarray:
-        return self.evaluate(x)
 
     def mean(self) -> float:
         raise NotImplementedError

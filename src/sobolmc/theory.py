@@ -21,8 +21,8 @@ every coordinate outside v (e.g. constant factors, or mu_j = tau_j
 factors with symmetric shapes) and is a monotone surrogate otherwise.
 
 ``enumerate_expectation`` is the brute-force oracle: for tabulated models
-it computes the exact mean and variance of any estimator's per-sample
-term by summing over all joint grid states of the 2-4 input vectors.
+it computes the exact mean and variance of the sampler's own per-sample
+term (``_batch_terms``) over all joint grid states of the 2-4 input vectors.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IndexSet
-from .estimators import EstimatorKind
+from .estimators import KINDS, EstimatorKind, _batch_terms, _resolve_center
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
 
@@ -165,18 +165,6 @@ class EnumerationBudget:
     max_states: int = 10_000_000
 
 
-#: independent input vectors consumed per estimator kind
-N_VECTORS = {
-    "original": 2,
-    "correlation1": 2,
-    "correlation2": 3,
-    "oracle1": 2,
-    "oracle2": 2,
-    "upper": 2,
-    "generalized": 4,
-}
-
-
 def _blend_table(model: DiscreteModel, u: IndexSet) -> np.ndarray:
     """(m, m) array: entry [a, b] = f at (coords of state a on u, of b off u)."""
     m = model.levels**model.dim
@@ -192,6 +180,35 @@ def _stable_mean(t: np.ndarray) -> float:
     # pairwise partial sums along trailing axes, compensated outer sum
     parts = np.sum(t.reshape(t.shape[0], -1), axis=1)
     return math.fsum(parts.tolist()) / t.size
+
+
+class _GridEvals:
+    """Every joint grid state of a tabulated model as a ``_batch_terms`` source.
+
+    Role k of ``roles`` is axis k of the joint state grid.  ``plain`` and
+    ``blended`` return table lookups as views with singleton axes on the
+    roles they do not read, so the term broadcasts to the full grid and no
+    input array of that size is ever built.
+    """
+
+    def __init__(self, model: DiscreteModel, roles: tuple[str, ...]) -> None:
+        self.model = model
+        self.axis = {role: k for k, role in enumerate(roles)}
+
+    def _place(self, values: np.ndarray, roles: tuple[str, ...]) -> np.ndarray:
+        axes = [self.axis[role] for role in roles]
+        if axes != sorted(axes):
+            values = values.T
+        shape = [1] * len(self.axis)
+        for k, size in zip(sorted(axes), values.shape):
+            shape[k] = size
+        return values.reshape(shape)  # a view: only singleton axes are added
+
+    def plain(self, role: str) -> np.ndarray:
+        return self._place(self.model.table.reshape(-1), (role,))
+
+    def blended(self, role_a: str, role_b: str, u: IndexSet) -> np.ndarray:
+        return self._place(_blend_table(self.model, u), (role_a, role_b))
 
 
 def enumerate_expectation(
@@ -211,46 +228,15 @@ def enumerate_expectation(
         raise ValueError(f"set {u} has dimension {u.dim}, model has {model.dim}")
     max_states = budget if isinstance(budget, int) else budget.max_states
     m = model.levels**model.dim
-    states = m ** N_VECTORS[kind.tag]
+    roles = KINDS[kind.tag].roles
+    states = m ** len(roles)
     if states > max_states:
         raise BudgetError(
             f"{kind.tag} enumeration needs {states} joint states, budget is {max_states}"
         )
 
-    f = model.table.reshape(-1)
-    tag = kind.tag
-    if tag in ("correlation1", "correlation2", "oracle1", "oracle2", "upper", "original"):
-        fu = _blend_table(model, u)  # fu[a, b] = f(a_u # b_-u)
-        right = fu - f[None, :]  # f(x_u # y_-u) - f(y), axes (x, y)
-        if tag == "correlation1":
-            t = f[:, None] * right
-        elif tag == "correlation2":
-            # left factor f(x) - f(z_u # x_-u) has axes (x, z)
-            left = f[:, None] - fu.T
-            t = left[:, None, :] * right[:, :, None]  # axes (x, y, z)
-        elif tag == "oracle1":
-            c = kind.center if kind.center is not None else model.mean()
-            t = (f[:, None] - c) * right
-        elif tag == "oracle2":
-            c = kind.center if kind.center is not None else model.mean()
-            t = (f[:, None] - c) * (fu - c)
-        elif tag == "upper":
-            diff = f[:, None] - fu.T  # f(x) - f(y_u # x_-u), axes (x, y)
-            t = 0.5 * diff * diff
-        else:  # original: the raw cross moment, expectation mu^2 + lower_u
-            t = f[:, None] * fu
-    else:  # generalized
-        v = kind.v if kind.v is not None else u.complement()
-        v2 = kind.v2 if kind.v2 is not None else u.complement()
-        if not v.isdisjoint(u) or not v2.isdisjoint(u):
-            raise ValueError(f"v={v} and v2={v2} must be disjoint from u={u}")
-        fv = _blend_table(model, v)  # f(x_v # z_-v), axes (x, z)
-        fu = _blend_table(model, u)  # f(x_u # y_-u), axes (x, y)
-        fv2 = _blend_table(model, v2)  # f(y_v' # w_-v'), axes (y, w)
-        left = f[:, None] - fv
-        # axes (x, y, z, w)
-        t = left[:, None, :, None] * (fu[:, :, None, None] - fv2[None, :, None, :])
-
+    t = _batch_terms(_GridEvals(model, roles), kind, u, _resolve_center(model, kind))
+    t = np.broadcast_to(t, (m,) * len(roles))
     mean = _stable_mean(t)
     var = _stable_mean((t - mean) ** 2)
     return mean, var

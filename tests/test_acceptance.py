@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
-from sobolmc.estimators import EstimatorKind, accumulate_terms, term_correlation2, term_upper
+from sobolmc.estimators import EstimatorKind, _batch_terms, _BatchEvals, accumulate_terms
 from sobolmc.experiments import g_function_study, product6_study
 from sobolmc.models import (
     DiscreteModel,
@@ -244,7 +244,12 @@ def test_criterion_7_per_sample_zero_property():
     u = u_of([2, 4], 4)
     rng = np.random.default_rng(77)
     x, y, z = (rng.random((10_000, 4)) for _ in range(3))
-    corr2 = term_correlation2(model, x, y, z, u)
-    upper = term_upper(model, x, y, u)
+    f = model.evaluate
+    corr2 = (f(x) - f(blend(z, x, u))) * (f(blend(x, y, u)) - f(y))
+    upper = 0.5 * (f(x) - f(blend(y, x, u))) ** 2
     assert np.all(corr2 == 0.0)
     assert np.all(upper == 0.0)
+    # and the sampler's own terms are the same exact zeros
+    ev = _BatchEvals(model, {"x": x, "y": y, "z": z})
+    assert np.array_equal(_batch_terms(ev, EstimatorKind.correlation2(), u, None), corr2)
+    assert np.array_equal(_batch_terms(ev, EstimatorKind.upper(), u, None), upper)

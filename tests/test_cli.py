@@ -228,6 +228,41 @@ class TestEfficiencyTable:
         assert code == 0
         assert len(out.strip().split("\n")) == 3
 
+    @pytest.mark.parametrize(
+        "key, value", [("center", "abc"), ("workers", "2"), ("workers", 0)]
+    )
+    def test_config_value_types_are_usage_errors(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "exp.json"
+        doc = {"model": "g", "us": [[1]], "n": 100, "replicates": 1, "seed": 0, key: value}
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 2
+        assert f"'{key}'" in err
+
+    def test_inert_coordinate_gives_undefined_efficiencies(self, tmp_path, capsys):
+        # tau_3 = 0: corr1, corr2 and orcl1 terms are exact zeros at u = {3}
+        cfg = tmp_path / "exp.json"
+        model = {"kind": "product", "mu": [1, 1, 1], "tau": [1, 0.5, 0]}
+        doc = {"model": model, "us": [[1], [3]], "n": 2000, "replicates": 3, "seed": 0}
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "efficiency-table", "--config", str(cfg), "--format", "json"
+        )
+        assert code == 0
+        healthy, inert = json.loads(out)["rows"]
+        assert healthy["eff_corr2"] > 0 and healthy["se_eff_corr2"] > 0
+        assert inert["var_corr1"] == inert["var_corr2"] == inert["var_orcl1"] == 0.0
+        assert inert["var_orcl2"] > 0
+        for col in ("eff_corr1", "eff_corr2", "eff_orcl1", "eff_orcl2",
+                    "se_eff_corr2", "se_eff_orcl1", "se_eff_orcl2"):
+            assert inert[col] is None, col
+        assert "zero term variance for corr1, corr2, orcl1" in inert["note"]
+        assert "# note {3}: zero term variance" in err
+        code, out, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 0
+        row = list(csv.DictReader(io.StringIO(out)))[1]
+        assert row["u"] == "{3}" and row["eff_corr2"] == "" and row["se_eff_orcl2"] == ""
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "efficiency-table")
         assert code == 2
@@ -271,12 +306,23 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
 
-    def test_corrupted_estimator_fails(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--trials", "1", "--corrupt"
-        )
+    def test_corrupted_estimator_fails(self, capsys, monkeypatch):
+        # negative control: break the sampler's correlation2 term where the
+        # oracle looks it up, and the exact suite must notice
+        from sobolmc import theory
+        from sobolmc.verification import verify_suite
+
+        real = theory._batch_terms
+
+        def broken(ev, kind, u, center):
+            t = real(ev, kind, u, center)
+            return t + 1e-3 if kind.tag == "correlation2" else t
+
+        monkeypatch.setattr(theory, "_batch_terms", broken)
+        assert verify_suite(levels=3, dims=2, trials=1, log=None) is False
+        code, out, _ = run_cli(capsys, "verify", "--trials", "1")
         assert code == 1
-        assert "[FAIL]" in out
+        assert "[FAIL]" in out and "E[correlation2]" in out
 
     def test_budget_overflow_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")

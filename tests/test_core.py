@@ -9,10 +9,7 @@ from sobolmc.core import (
     EvalCounter,
     IndexSet,
     RngSpec,
-    as_point,
     blend,
-    complement,
-    draw_block,
 )
 
 
@@ -51,8 +48,8 @@ class TestIndexSet:
             IndexSet(1 << 3, 3)  # bit at position >= d
 
     def test_complement_examples(self):
-        assert complement(IndexSet.empty(3)) == IndexSet.full(3)
-        assert complement(IndexSet.from_indices([1], 3)) == IndexSet.from_indices([2, 3], 3)
+        assert IndexSet.empty(3).complement() == IndexSet.full(3)
+        assert IndexSet.from_indices([1], 3).complement() == IndexSet.from_indices([2, 3], 3)
 
     @given(sets())
     def test_complement_involution_and_xor(self, u):
@@ -119,22 +116,6 @@ class TestBlend:
             blend(np.zeros(3), np.zeros(3), IndexSet.empty(4))
 
 
-class TestPoint:
-    def test_valid(self):
-        p = as_point([0.0, 0.5, 0.999], 3)
-        assert p.dtype == np.float64
-
-    def test_rejects_unit_endpoint_and_shape(self):
-        with pytest.raises(ValueError):
-            as_point([0.0, 1.0], 2)
-        with pytest.raises(ValueError):
-            as_point([-0.1], 1)
-        with pytest.raises(DimensionError):
-            as_point([[0.1]], 1)
-        with pytest.raises(DimensionError):
-            as_point([0.1, 0.2], 3)
-
-
 class TestEvalCounter:
     def test_monotone(self):
         c = EvalCounter()
@@ -147,17 +128,17 @@ class TestEvalCounter:
 
 class TestStreams:
     def test_same_spec_reproduces_block(self):
-        a = draw_block(RngSpec(42, replicate=3), 5)
-        b = draw_block(RngSpec(42, replicate=3), 5)
+        a = BlockSampler(RngSpec(42, replicate=3), 5)
+        b = BlockSampler(RngSpec(42, replicate=3), 5)
         for role in "xyzw":
-            assert np.array_equal(getattr(a, role), getattr(b, role))
+            assert np.array_equal(a.draw_role(role, 1), b.draw_role(role, 1))
 
     def test_roles_and_replicates_differ(self):
-        block = draw_block(RngSpec(42), 8)
-        coords = np.concatenate([block.x, block.y, block.z, block.w])
+        sampler = BlockSampler(RngSpec(42), 8)
+        coords = np.concatenate([sampler.draw_role(role, 1) for role in "xyzw"])
         assert len(np.unique(coords)) == coords.size
-        other = draw_block(RngSpec(42, replicate=1), 8)
-        assert not np.array_equal(block.x, other.x)
+        other = BlockSampler(RngSpec(42, replicate=1), 8)
+        assert not np.array_equal(coords[:1], other.draw_role("x", 1))
 
     def test_role_consumption_is_independent(self):
         # consuming z must not shift the x stream

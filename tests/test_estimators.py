@@ -6,18 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
-    COSTS,
     Accumulator,
     EstimatorKind,
-    estimate_original,
+    _batch_terms,
+    _BatchEvals,
     run_estimator,
     run_multi_u,
-    term_correlation1,
-    term_correlation2,
-    term_generalized,
-    term_oracle1,
-    term_oracle2,
-    term_upper,
 )
 from sobolmc.models import DiscreteModel, Model, ProductModel, builtin_model, discrete_anova
 from sobolmc.theory import enumerate_expectation
@@ -51,6 +45,11 @@ def u_of(ix, dim):
     return IndexSet.from_indices(ix, dim)
 
 
+def terms(model, kind, u, center=None, **arrays):
+    """The sampler's per-sample terms of one kind over explicit input arrays."""
+    return _batch_terms(_BatchEvals(model, arrays), kind, u, center)
+
+
 class TestTermExamples:
     def setup_method(self):
         rng = np.random.default_rng(0)
@@ -60,31 +59,33 @@ class TestTermExamples:
     def test_constant_function_gives_zero_terms(self):
         m = constant_model(self.d)
         u = u_of([1], self.d)
-        assert np.all(term_correlation1(m, self.x, self.y, u) == 0.0)
-        assert np.all(term_correlation2(m, self.x, self.y, self.z, u) == 0.0)
-        assert np.all(term_oracle1(m, self.x, self.y, u, 2.0) == 0.0)
-        assert np.all(term_oracle2(m, self.x, self.y, u, 2.0) == 0.0)
-        assert np.all(term_upper(m, self.x, self.y, u) == 0.0)
+        xyz = dict(x=self.x, y=self.y, z=self.z)
+        assert np.all(terms(m, EstimatorKind.correlation1(), u, **xyz) == 0.0)
+        assert np.all(terms(m, EstimatorKind.correlation2(), u, **xyz) == 0.0)
+        assert np.all(terms(m, EstimatorKind.oracle1(), u, 2.0, **xyz) == 0.0)
+        assert np.all(terms(m, EstimatorKind.oracle2(), u, 2.0, **xyz) == 0.0)
+        assert np.all(terms(m, EstimatorKind.upper(), u, **xyz) == 0.0)
 
     def test_correlation1_symbolic_linear_case(self):
         # f(x) = x_1 on d=2: the term is x_1 (x_1 - y_1)
         f = ProductModel([0.5, 1.0], [math.sqrt(1.0 / 12.0), 0.0], "uniform")
         x, y = self.x[:, :2], self.y[:, :2]
-        got = term_correlation1(f, x, y, u_of([1], 2))
+        got = terms(f, EstimatorKind.correlation1(), u_of([1], 2), x=x, y=y)
         assert np.allclose(got, x[:, 0] * (x[:, 0] - y[:, 0]), atol=1e-12)
 
     def test_u_independent_function_vanishes_per_sample(self):
         # no dependence on u coordinates: both centered factors are exact zeros
         f = ProductModel([1.0, 1.0, 1.0], [1.0, 1.0, 0.0], "uniform")
         u = u_of([3], 3)
-        assert np.all(term_correlation2(f, self.x, self.y, self.z, u) == 0.0)
-        assert np.all(term_upper(f, self.x, self.y, u) == 0.0)
+        xyz = dict(x=self.x, y=self.y, z=self.z)
+        assert np.all(terms(f, EstimatorKind.correlation2(), u, **xyz) == 0.0)
+        assert np.all(terms(f, EstimatorKind.upper(), u, **xyz) == 0.0)
 
     def test_oracle2_at_zero_center_is_plain_cross_moment(self):
         m = random_discrete(1)
         u = u_of([1], 2)
         x, y = self.x[:, :2], self.y[:, :2]
-        got = term_oracle2(m, x, y, u, 0.0)
+        got = terms(m, EstimatorKind.oracle2(0.0), u, 0.0, x=x, y=y)
         want = m.evaluate(x) * m.evaluate(blend(x, y, u))
         assert np.array_equal(got, want)
         # and its enumerated mean is mu^2 + lower_u
@@ -98,15 +99,19 @@ class TestTermExamples:
         comp = u.complement()
         # take the u part of w from y: then the right centering point is y itself
         w = blend(self.y, self.w, u)
-        got = term_generalized(m.clone(), self.x, self.y, self.z, w, u, comp, comp)
-        want = term_correlation2(m.clone(), self.x, self.y, self.z, u)
+        gen = EstimatorKind.generalized(comp, comp)
+        got = terms(m.clone(), gen, u, x=self.x, y=self.y, z=self.z, w=w)
+        want = terms(m.clone(), EstimatorKind.correlation2(), u, x=self.x, y=self.y, z=self.z)
         assert np.array_equal(got, want)
 
     def test_generalized_with_empty_sets(self):
         m = builtin_model("g")
         u = u_of([2], 3)
         empty = IndexSet.empty(3)
-        got = term_generalized(m.clone(), self.x, self.y, self.z, self.w, u, empty, empty)
+        got = terms(
+            m.clone(), EstimatorKind.generalized(empty, empty), u,
+            x=self.x, y=self.y, z=self.z, w=self.w,
+        )
         mm = m.clone()
         want = (mm.evaluate(self.x) - mm.evaluate(self.z)) * (
             mm.evaluate(blend(self.x, self.y, u)) - mm.evaluate(self.w)
@@ -116,13 +121,14 @@ class TestTermExamples:
     def test_generalized_rejects_overlap(self):
         u = u_of([1], 3)
         with pytest.raises(ValueError, match="disjoint"):
-            term_generalized(
-                builtin_model("g"), self.x, self.y, self.z, self.w, u, u, u.complement()
+            terms(
+                builtin_model("g"), EstimatorKind.generalized(u, u.complement()), u,
+                x=self.x, y=self.y, z=self.z, w=self.w,
             )
 
     def test_upper_is_nonnegative(self):
         m = random_discrete(4, dims=3)
-        assert np.all(term_upper(m, self.x, self.y, u_of([2], 3)) >= 0.0)
+        assert np.all(terms(m, EstimatorKind.upper(), u_of([2], 3), x=self.x, y=self.y) >= 0.0)
 
 
 class TestEnumeratedExpectations:
@@ -163,12 +169,13 @@ class TestShiftEquivariance:
         rng = np.random.default_rng(8)
         x, y, z, w = (rng.random((200, 3)) for _ in range(4))
         u = u_of([1], 3)
-        a = term_correlation2(m.clone(), x, y, z, u)
-        b = term_correlation2(shifted, x, y, z, u)
+        corr2 = EstimatorKind.correlation2()
+        a = terms(m.clone(), corr2, u, x=x, y=y, z=z)
+        b = terms(shifted, corr2, u, x=x, y=y, z=z)
         assert np.allclose(a, b, atol=1e-9)
-        comp = u.complement()
-        a = term_generalized(m.clone(), x, y, z, w, u, comp, comp)
-        b = term_generalized(_Shifted(builtin_model("g"), 26.0), x, y, z, w, u, comp, comp)
+        gen = EstimatorKind.generalized()
+        a = terms(m.clone(), gen, u, x=x, y=y, z=z, w=w)
+        b = terms(_Shifted(builtin_model("g"), 26.0), gen, u, x=x, y=y, z=z, w=w)
         assert np.allclose(a, b, atol=1e-9)
 
     def test_correlation1_in_expectation_only(self):
@@ -181,8 +188,8 @@ class TestShiftEquivariance:
         # but not per-sample: the single-sample terms differ
         rng = np.random.default_rng(1)
         x, y = rng.random((10, 2)), rng.random((10, 2))
-        t0 = term_correlation1(model, x, y, u)
-        t1 = term_correlation1(shifted, x, y, u)
+        t0 = terms(model, EstimatorKind.correlation1(), u, x=x, y=y)
+        t1 = terms(shifted, EstimatorKind.correlation1(), u, x=x, y=y)
         assert not np.allclose(t0, t1)
 
 
@@ -256,7 +263,6 @@ class TestRunEstimator:
         model = builtin_model("g")
         n = 1000
         report = run_estimator(model, kind, u_of([1, 3], 3), n, RngSpec(0))
-        assert report.evals == n * COSTS[kind.tag]
         assert report.evals == n * kind.cost
 
     def test_multi_u_shares_plain_evaluations(self):
@@ -308,8 +314,12 @@ class TestRunEstimator:
         x = sampler.draw_role("x", n)
         y = sampler.draw_role("y", n)
         z = sampler.draw_role("z", n)
-        terms = term_correlation2(model.clone(), x, y, z, u)
-        acc = Accumulator.of(terms)
+        f = model.clone()
+        # the correlation2 term written out, independent of the sampler's code
+        manual = (f.evaluate(x) - f.evaluate(blend(z, x, u))) * (
+            f.evaluate(blend(x, y, u)) - f.evaluate(y)
+        )
+        acc = Accumulator.of(manual)
         assert report.estimate == acc.mean
         assert report.term_variance == acc.variance()
         assert report.std_error == math.sqrt(acc.variance() / n)
@@ -360,6 +370,10 @@ class TestRunEstimator:
                 10,
                 RngSpec(0),
             )
+        # both runners share one streaming loop, which rejects an empty batch
+        for kind in (EstimatorKind.correlation1(), EstimatorKind.original()):
+            with pytest.raises(ValueError, match="batch_size"):
+                run_estimator(model, kind, u_of([1], 3), 10, RngSpec(0), batch_size=-1)
 
 
 class TestEstimatorKindValidation:
@@ -379,8 +393,7 @@ class TestEstimatorKindValidation:
 class TestOriginal:
     def test_constant_function(self):
         m = constant_model(2, 3.0)
-        rng = np.random.default_rng(0)
-        rep = estimate_original(m, rng.random((100, 2)), rng.random((100, 2)), u_of([1], 2))
+        rep = run_estimator(m, EstimatorKind.original(), u_of([1], 2), 100, RngSpec(0))
         assert rep.estimate == pytest.approx(0.0, abs=1e-12)
         assert rep.biased
         assert rep.term_variance is None and rep.std_error is None
@@ -391,17 +404,11 @@ class TestOriginal:
         # estimator is the plain variance estimate of U[0,1]; 4 SE of the
         # sample variance is 4*sqrt((mu4 - sigma^4)/n) ~ 3e-4 at n = 1e6
         f = ProductModel([0.5], [math.sqrt(1.0 / 12.0)], "uniform")
-        rng = np.random.default_rng(12)
-        xs = rng.random((1_000_000, 1))
-        ys = rng.random((1_000_000, 1))
-        rep = estimate_original(f, xs, ys, u_of([1], 1))
+        rep = run_estimator(f, EstimatorKind.original(), u_of([1], 1), 1_000_000, RngSpec(12))
         assert abs(rep.estimate - 1.0 / 12.0) < 3e-4
 
     def test_needs_two_samples(self):
         m = constant_model(2)
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="n >= 2"):
-            estimate_original(m, rng.random((1, 2)), rng.random((1, 2)), u_of([1], 2))
         with pytest.raises(ValueError, match="n >= 2"):
             run_estimator(m, EstimatorKind.original(), u_of([1], 2), 1, RngSpec(0))
 
@@ -412,6 +419,10 @@ class TestOriginal:
         rep = run_estimator(model.clone(), EstimatorKind.original(), u, n, RngSpec(5))
         sampler = BlockSampler(RngSpec(5), 3)
         xs, ys = sampler.draw_role("x", n), sampler.draw_role("y", n)
-        want = estimate_original(model.clone(), xs, ys, u)
-        assert rep.estimate == pytest.approx(want.estimate, rel=1e-12)
-        assert rep.evals == want.evals == 2 * n
+        # the cross moment minus the pooled mean squared, written out
+        f = model.clone()
+        fx, fb = f.evaluate(xs), f.evaluate(blend(xs, ys, u))
+        mu_hat = (float(fx.sum()) + float(fb.sum())) / (2.0 * n)
+        want = float(np.mean(fx * fb)) - mu_hat**2
+        assert rep.estimate == pytest.approx(want, rel=1e-12)
+        assert rep.evals == 2 * n

@@ -59,6 +59,8 @@ class TestConfigValidation:
             self.base(n=1)
         with pytest.raises(ValueError):
             self.base(replicates=0)
+        with pytest.raises(ValueError, match="batch_size"):
+            self.base(batch_size=0)
 
     def test_kind_gating(self):
         with pytest.raises(ValueError, match="include_original"):

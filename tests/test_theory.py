@@ -238,8 +238,20 @@ def literal_enumeration(model, kind, u):
     def bl(a, b, s):
         return tuple(a[j] if (j + 1) in s else b[j] for j in range(d))
 
+    c = kind.center if kind.center is not None else model.mean()
     terms = []
-    if kind.tag == "correlation2":
+    if kind.tag in ("correlation1", "oracle1", "oracle2", "original"):
+        for x, y in itertools.product(grid, repeat=2):
+            fx, fu, fy = f[x], f[bl(x, y, u)], f[y]
+            terms.append(
+                {
+                    "correlation1": fx * (fu - fy),
+                    "oracle1": (fx - c) * (fu - fy),
+                    "oracle2": (fx - c) * (fu - c),
+                    "original": fx * fu,
+                }[kind.tag]
+            )
+    elif kind.tag == "correlation2":
         for x, y, z in itertools.product(grid, repeat=3):
             terms.append((f[x] - f[bl(z, x, u)]) * (f[bl(x, y, u)] - f[y]))
     elif kind.tag == "upper":
@@ -262,6 +274,10 @@ class TestEnumerateExpectation:
         model = DiscreteModel(np.random.default_rng(13).random((2, 2)))
         u = u_of([1], 2)
         for kind in (
+            EstimatorKind.correlation1(),
+            EstimatorKind.oracle1(),
+            EstimatorKind.oracle2(),
+            EstimatorKind.original(),
             EstimatorKind.correlation2(),
             EstimatorKind.upper(),
             EstimatorKind.generalized(),
