@@ -34,7 +34,6 @@ from .experiments import (
     g_function_study,
     product6_study,
     run_efficiency_experiment,
-    write_csv,
 )
 from .models import (
     AnovaReport,
@@ -55,7 +54,6 @@ from .models import (
     product_set_indices,
 )
 from .theory import (
-    EnumerationBudget,
     QFactors,
     argmin_v,
     diff_fourth_moment,

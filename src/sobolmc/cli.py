@@ -24,12 +24,11 @@ from .core import DimensionError, IndexSet, RngSpec
 from .estimators import TAG_OF_ALIAS, EstimatorKind, run_estimator
 from .experiments import (
     BUILTIN_STUDIES,
+    builtin_config,
     config_from_json,
     csv_text,
     product6_ratio_note,
-    resolve_workers,
     run_efficiency_experiment,
-    write_csv,
 )
 from .models import (
     BUILTIN_MODELS,
@@ -44,6 +43,7 @@ from .models import (
     model_from_json,
     product_set_indices,
 )
+from .theory import MAX_STATES
 from .verification import verify_suite
 
 MAX_ANOVA_LISTING_DIM = 12
@@ -80,6 +80,14 @@ def _jsonable(value):
     return value
 
 
+def _write(text: str, out: str | None) -> None:
+    """Write text and a newline to the path ``out``, or print it."""
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
+
+
 def _emit(records: list[dict], fmt: str, out: str | None) -> None:
     """Write records as a JSON list or a CSV table with a header row."""
     if fmt == "json":
@@ -94,10 +102,7 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
         for rec in records:
             writer.writerow(["" if rec[k] is None else rec[k] for k in keys])
         text = buf.getvalue().rstrip("\n")
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(text, out)
 
 
 def _cmd_estimate(args) -> int:
@@ -170,7 +175,7 @@ def _anova_records(model: Model, model_name: str, only: IndexSet | None) -> list
                 "sigma2_u": s2u,
                 "lower": lower,
                 "upper": upper,
-                "lower_rel": lower / sigma2,
+                "lower_rel": lower / sigma2 if sigma2 != 0.0 else None,
                 "note": note_for(u),
             }
         )
@@ -187,16 +192,12 @@ def _cmd_anova(args) -> int:
 def _cmd_efficiency_table(args) -> int:
     if (args.benchmark is None) == (args.config is None):
         raise UsageError("pass exactly one of --benchmark or --config")
-    workers = resolve_workers(args.threads)
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     if args.benchmark is not None:
-        study = BUILTIN_STUDIES[args.benchmark]
-        table = study(
-            n=args.n,
-            replicates=args.replicates,
-            seed=args.seed,
-            center=args.center,
-            workers=workers,
-            include_original=args.include_original,
+        config = builtin_config(
+            args.benchmark, args.n, args.replicates, args.seed,
+            args.center, args.threads, args.include_original,
         )
     else:
         try:
@@ -204,20 +205,14 @@ def _cmd_efficiency_table(args) -> int:
         except (OSError, ValueError, DimensionError) as exc:
             raise UsageError(f"bad experiment config {args.config}: {exc}") from exc
         if config.workers is None:
-            config.workers = workers
-        table = run_efficiency_experiment(config)
+            config.workers = args.threads
+    table = run_efficiency_experiment(config)
 
     if args.format == "json":
         text = json.dumps(table.as_dict(), indent=2)
     else:
         text = csv_text(table).rstrip("\n")
-    if args.out:
-        if args.format == "csv":
-            write_csv(table, args.out)
-        else:
-            Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write(text, args.out)
     for row in table.rows:
         if row.note:
             print(f"# note {row.u}: {row.note}", file=sys.stderr)
@@ -284,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--dims", type=int, default=2)
     p_ver.add_argument("--trials", type=int, default=5)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--max-states", type=int, default=10_000_000)
+    p_ver.add_argument("--max-states", type=int, default=MAX_STATES)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 
@@ -294,10 +289,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, BudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, DimensionError) as exc:
+    except (UsageError, BudgetError, ValueError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

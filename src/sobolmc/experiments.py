@@ -25,7 +25,9 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -44,11 +46,12 @@ from .models import Model, analytic_anova, builtin_model, model_from_json
 #: the estimators compared in efficiency tables, in column order
 COMPARED_KINDS = ("correlation1", "correlation2", "oracle1", "oracle2")
 
-CSV_HEADER = (
-    "u,rel_index,var_corr1,var_corr2,var_orcl1,var_orcl2,"
-    "eff_corr1,eff_corr2,eff_orcl1,eff_orcl2,"
-    "se_eff_corr2,se_eff_orcl1,se_eff_orcl2"
-)
+#: target sets of the builtin studies, by builtin model name (g omits the
+#: full set: its closed index is the total variance, estimable directly)
+BUILTIN_STUDIES = {
+    "g": ([1], [2], [3], [1, 2], [1, 3], [2, 3]),
+    "product6": ([1], [2], [3], [4], [5], [6], [1, 2], [3, 4], [5, 6]),
+}
 
 #: pair rows of the product6 study whose widely circulated relative-index
 #: values disagree with the product variance identity
@@ -85,9 +88,8 @@ class ExperimentConfig:
     """Everything one efficiency experiment depends on.
 
     ``center`` is the oracle centering policy: None uses the model's exact
-    mean, a float pins an imperfect oracle.  ``replicate_ids`` names the
-    independent replicate streams (default 0..replicates-1); permuting
-    them only reassociates the pooled reductions.
+    mean, a float pins an imperfect oracle.  ``kinds`` may add "original"
+    to the compared kinds.  ``workers`` None defers to ``resolve_workers``.
     """
 
     model: Model
@@ -97,10 +99,8 @@ class ExperimentConfig:
     seed: int
     center: float | None = None
     kinds: tuple[str, ...] = COMPARED_KINDS
-    include_original: bool = False
     batch_size: int = DEFAULT_BATCH
     workers: int | None = None
-    replicate_ids: tuple[int, ...] | None = None
     notes: dict[IndexSet, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -110,26 +110,23 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        allowed = set(COMPARED_KINDS) | ({"original"} if self.include_original else set())
+        w = self.workers  # bool is not a count here
+        if w is not None and (isinstance(w, bool) or not isinstance(w, Integral) or w < 1):
+            raise ValueError(f"'workers' must be an integer >= 1 or null, got {w!r}")
+        allowed = COMPARED_KINDS + ("original",)
         bad = [k for k in self.kinds if k not in allowed]
         if bad:
-            raise ValueError(
-                f"kinds {bad} not allowed; pass include_original=True to add 'original'"
-            )
+            raise ValueError(f"kinds {bad} not allowed; choose from {list(allowed)}")
         if "correlation1" not in self.kinds:
             raise ValueError("the correlation1 baseline is required")
-        if self.replicate_ids is None:
-            self.replicate_ids = tuple(range(self.replicates))
-        elif len(self.replicate_ids) != self.replicates:
-            raise ValueError("replicate_ids must name exactly `replicates` streams")
 
 
 @dataclass
 class EfficiencyRow:
-    """One target set's variances and cost-adjusted efficiencies."""
+    """One target set's table row; the fields before ``note`` are the columns."""
 
     u: IndexSet
-    rel_index: float
+    rel_index: float | None
     var_corr1: float | None
     var_corr2: float | None
     var_orcl1: float | None
@@ -145,19 +142,20 @@ class EfficiencyRow:
     original_estimate: float | None = None
 
     def as_dict(self) -> dict:
-        out = {"u": str(self.u)}
-        for name in (
-            "rel_index",
-            "var_corr1", "var_corr2", "var_orcl1", "var_orcl2",
-            "eff_corr1", "eff_corr2", "eff_orcl1", "eff_orcl2",
-            "se_eff_corr2", "se_eff_orcl1", "se_eff_orcl2",
-        ):
-            out[name] = getattr(self, name)
+        out = {name: getattr(self, name) for name in COLUMNS}
+        out["u"] = str(self.u)
         if self.note:
             out["note"] = self.note
         if self.original_estimate is not None:
             out["original_estimate"] = self.original_estimate
         return out
+
+
+#: the efficiency table's column schema
+COLUMNS = tuple(
+    f.name for f in fields(EfficiencyRow) if f.name not in ("note", "original_estimate")
+)
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass
@@ -197,14 +195,13 @@ def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
             reports = run_multi_u(local, kind, config.us, config.n, rng, config.batch_size)
             out[tag] = {r.u: r.estimate for r in reports}
         else:
-            accs, _ = accumulate_terms(local, kind, config.us, config.n, rng, config.batch_size)
-            out[tag] = accs
-    return out, local.counter.count
+            out[tag], _ = accumulate_terms(local, kind, config.us, config.n, rng, config.batch_size)
+    return out
 
 
-def _defined_efficiency(var_base: float, var_other: float, tag: str) -> float | None:
-    """``efficiency`` of tag against correlation1; None if either variance is 0."""
-    if var_base == 0.0 or var_other == 0.0:
+def _defined_efficiency(var_base: float, var_other: float | None, tag: str) -> float | None:
+    """``efficiency`` of tag against correlation1; None if a variance is 0 or missing."""
+    if not var_base or not var_other:
         return None
     return efficiency(var_base, var_other, KINDS["correlation1"].cost, KINDS[tag].cost)
 
@@ -216,20 +213,32 @@ def _pool(accs: list[Accumulator]) -> Accumulator:
     return total
 
 
-def _jackknife_se(values: list[float]) -> float | None:
-    r = len(values)
+def _jackknife_se(base: list[Accumulator], other: list[Accumulator], tag: str) -> float | None:
+    """Delete-one jackknife SE of tag's efficiency; None if any estimate is undefined."""
+    r = len(base)
     if r < 2:
         return None
-    mean = sum(values) / r
-    return math.sqrt((r - 1) / r * sum((v - mean) ** 2 for v in values))
+    loo = []
+    for k in range(r):
+        v1 = _pool(base[:k] + base[k + 1:]).variance()
+        vk = _pool(other[:k] + other[k + 1:]).variance()
+        loo.append(_defined_efficiency(v1, vk, tag))
+    if None in loo:
+        return None
+    mean = sum(loo) / r
+    return math.sqrt((r - 1) / r * sum((v - mean) ** 2 for v in loo))
 
 
 def resolve_workers(requested: int | None) -> int:
     """Worker count: explicit argument, else SOBOL_THREADS, else 1."""
     if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("SOBOL_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
+        return requested
+    env = os.environ.get("SOBOL_THREADS", "").strip()
+    if not env:
+        return 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"SOBOL_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
@@ -242,17 +251,13 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
     model = config.model
     anova = analytic_anova(model)
     workers = resolve_workers(config.workers)
-
+    run_pass = partial(_replicate_pass, model, config)
+    # one worker runs inline: a one-thread pool raises product6 peak RSS by ~12%
     if workers == 1:
-        passes = [_replicate_pass(model, config, rep) for rep in config.replicate_ids]
+        per_rep = [run_pass(rep) for rep in range(config.replicates)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replicate_pass, model, config, rep)
-                for rep in config.replicate_ids
-            ]
-            passes = [f.result() for f in futures]
-    per_rep = [p[0] for p in passes]
+            per_rep = list(pool.map(run_pass, range(config.replicates)))
 
     sampled_kinds = [t for t in config.kinds if t != "original"]
     rows = []
@@ -262,26 +267,20 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
 
         # a zero term variance (inert target coordinates) leaves every
         # efficiency against it undefined, reported as None
-        zero = [tag for tag in sampled_kinds if var[tag] == 0.0]
-        eff: dict[str, float | None] = {"correlation1": None if "correlation1" in zero else 1.0}
-        se: dict[str, float | None] = {}
-        for tag in ("correlation2", "oracle1", "oracle2"):
-            eff[tag] = se[tag] = None
-            if tag not in var:
-                continue
-            eff[tag] = _defined_efficiency(var["correlation1"], var[tag], tag)
-            if eff[tag] is None or config.replicates < 2:
-                continue
-            loo = []
-            for k in range(config.replicates):
-                v1 = _pool([a for i, a in enumerate(accs["correlation1"]) if i != k]).variance()
-                vk = _pool([a for i, a in enumerate(accs[tag]) if i != k]).variance()
-                loo.append(_defined_efficiency(v1, vk, tag))
-            se[tag] = None if None in loo else _jackknife_se(loo)
+        cells: dict[str, float | None] = {}
+        for tag in COMPARED_KINDS:
+            alias = KINDS[tag].alias
+            eff = _defined_efficiency(var["correlation1"], var.get(tag), tag)
+            cells[f"var_{alias}"] = var.get(tag)
+            cells[f"eff_{alias}"] = eff
+            if tag != "correlation1":
+                se = None if eff is None else _jackknife_se(accs["correlation1"], accs[tag], tag)
+                cells[f"se_eff_{alias}"] = se
         notes = [config.notes.get(u, "")]
+        zero = [KINDS[tag].alias for tag in sampled_kinds if var[tag] == 0.0]
         if zero:
             notes.append(
-                "zero term variance for " + ", ".join(KINDS[t].alias for t in zero)
+                "zero term variance for " + ", ".join(zero)
                 + "; efficiencies against a zero variance are undefined"
             )
 
@@ -292,18 +291,8 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
         rows.append(
             EfficiencyRow(
                 u=u,
-                rel_index=anova.lower_u[u] / anova.sigma2,
-                var_corr1=var.get("correlation1"),
-                var_corr2=var.get("correlation2"),
-                var_orcl1=var.get("oracle1"),
-                var_orcl2=var.get("oracle2"),
-                eff_corr1=eff["correlation1"],
-                eff_corr2=eff["correlation2"],
-                eff_orcl1=eff["oracle1"],
-                eff_orcl2=eff["oracle2"],
-                se_eff_corr2=se["correlation2"],
-                se_eff_orcl1=se["oracle1"],
-                se_eff_orcl2=se["oracle2"],
+                rel_index=anova.lower_u[u] / anova.sigma2 if anova.sigma2 != 0.0 else None,
+                **cells,
                 note="; ".join(filter(None, notes)),
                 original_estimate=originals,
             )
@@ -317,6 +306,33 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
     )
 
 
+def builtin_config(
+    name: str,
+    n: int = 1_000_000,
+    replicates: int = 10,
+    seed: int = 1,
+    center: float | None = None,
+    workers: int | None = None,
+    include_original: bool = False,
+) -> ExperimentConfig:
+    """The builtin study on model ``name`` (a key of ``BUILTIN_STUDIES``).
+
+    The product6 pair rows carry the disputed-ratio note.  The oracle
+    center defaults to the exact mean; pass e.g. 26.8 on g to study an
+    imperfect oracle.
+    """
+    config = config_from_json(
+        {
+            "model": name, "us": BUILTIN_STUDIES[name], "n": n, "replicates": replicates,
+            "seed": seed, "center": center, "workers": workers,
+            "include_original": include_original,
+        }
+    )
+    if name == "product6":
+        config.notes = {u: product6_ratio_note(u) for u in config.us}
+    return config
+
+
 def g_function_study(
     n: int = 1_000_000,
     replicates: int = 10,
@@ -325,23 +341,9 @@ def g_function_study(
     workers: int | None = None,
     include_original: bool = False,
 ) -> EfficiencyTable:
-    """Efficiency benchmark on the d=3 g-function, a = (19, 9, 4).
-
-    Covers every nonempty set except the full one (whose closed index is
-    the total variance, estimable directly).  Oracle center defaults to
-    the exact mean 27; pass e.g. 26.8 to study an imperfect oracle.
-    """
-    model = builtin_model("g")
-    us = tuple(
-        IndexSet.from_indices(ix, 3) for ix in ([1], [2], [3], [1, 2], [1, 3], [2, 3])
-    )
-    kinds = COMPARED_KINDS + (("original",) if include_original else ())
+    """Efficiency benchmark on the d=3 g-function, a = (19, 9, 4), mean 27."""
     return run_efficiency_experiment(
-        ExperimentConfig(
-            model=model, us=us, n=n, replicates=replicates, seed=seed,
-            center=center, kinds=kinds, include_original=include_original,
-            workers=workers,
-        )
+        builtin_config("g", n, replicates, seed, center, workers, include_original)
     )
 
 
@@ -353,29 +355,10 @@ def product6_study(
     workers: int | None = None,
     include_original: bool = False,
 ) -> EfficiencyTable:
-    """Efficiency benchmark on the d=6 product model.
-
-    Six singleton rows plus the pair rows {1,2}, {3,4}, {5,6}; the pair
-    rows carry the disputed-ratio note.  Oracle center defaults to the
-    exact mean 1.
-    """
-    model = builtin_model("product6")
-    us = tuple(
-        IndexSet.from_indices(ix, 6)
-        for ix in ([1], [2], [3], [4], [5], [6], [1, 2], [3, 4], [5, 6])
-    )
-    notes = {u: product6_ratio_note(u) for u in us if product6_ratio_note(u)}
-    kinds = COMPARED_KINDS + (("original",) if include_original else ())
+    """Efficiency benchmark on the d=6 product model, mean 1."""
     return run_efficiency_experiment(
-        ExperimentConfig(
-            model=model, us=us, n=n, replicates=replicates, seed=seed,
-            center=center, kinds=kinds, include_original=include_original,
-            workers=workers, notes=notes,
-        )
+        builtin_config("product6", n, replicates, seed, center, workers, include_original)
     )
-
-
-BUILTIN_STUDIES = {"g": g_function_study, "product6": product6_study}
 
 
 def _render(value) -> str:
@@ -390,35 +373,10 @@ def csv_text(table: EfficiencyTable) -> str:
     """Render the table in the fixed column schema (shortest float decimals)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(COLUMNS)
     for row in table.rows:
-        writer.writerow(
-            [
-                str(row.u),
-                _render(row.rel_index),
-                _render(row.var_corr1),
-                _render(row.var_corr2),
-                _render(row.var_orcl1),
-                _render(row.var_orcl2),
-                _render(row.eff_corr1),
-                _render(row.eff_corr2),
-                _render(row.eff_orcl1),
-                _render(row.eff_orcl2),
-                _render(row.se_eff_corr2),
-                _render(row.se_eff_orcl1),
-                _render(row.se_eff_orcl2),
-            ]
-        )
+        writer.writerow([_render(getattr(row, name)) for name in COLUMNS])
     return buf.getvalue()
-
-
-def write_csv(table: EfficiencyTable, path) -> None:
-    """Write ``csv_text(table)`` to a file, surfacing failures with the path."""
-    try:
-        with open(path, "w", newline="") as handle:
-            handle.write(csv_text(table))
-    except OSError as exc:
-        raise OSError(f"cannot write efficiency table to {path}: {exc}") from exc
 
 
 _CONFIG_KEYS = {
@@ -431,7 +389,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
     ``model`` is a builtin alias or a nested model document; ``us`` is a
     list of coordinate lists; ``center`` is a number or "mean";
-    ``workers`` is an integer >= 1 or null.
+    ``workers`` is an integer >= 1 or null.  Without ``kinds``,
+    ``include_original`` appends "original" to the compared kinds.
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment configuration must be a JSON object")
@@ -447,17 +406,11 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     center = obj.get("center")
     if center == "mean":
         center = None
-    elif center is not None and type(center) not in (int, float):  # bool is not a number here
+    elif center is not None and (isinstance(center, bool) or not isinstance(center, Real)):
         raise ValueError(f"'center' must be a number or \"mean\", got {center!r}")
-    workers = obj.get("workers")
-    if workers is not None and (type(workers) is not int or workers < 1):
-        raise ValueError(f"'workers' must be an integer >= 1 or null, got {workers!r}")
-    include_original = bool(obj.get("include_original", False))
     kinds = obj.get("kinds")
     if kinds is None:
-        resolved = COMPARED_KINDS + (("original",) if include_original else ())
-    else:
-        resolved = tuple(TAG_OF_ALIAS.get(k, k) for k in kinds)
+        kinds = COMPARED_KINDS + (("original",) if obj.get("include_original") else ())
     return ExperimentConfig(
         model=model,
         us=us,
@@ -465,8 +418,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         replicates=int(obj["replicates"]),
         seed=int(obj["seed"]),
         center=center,
-        kinds=resolved,
-        include_original=include_original,
+        kinds=tuple(TAG_OF_ALIAS.get(k, k) for k in kinds),
         batch_size=int(obj.get("batch_size", DEFAULT_BATCH)),
-        workers=workers,
+        workers=obj.get("workers"),
     )

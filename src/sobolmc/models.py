@@ -287,25 +287,16 @@ def factor_raw_moments(model: ProductModel, j: int) -> tuple[float, float, float
 
 
 def product_anova(model: ProductModel) -> AnovaReport:
-    """Closed-form ANOVA of a product model."""
-    d = model.dim
-    mu2 = model.mu**2
-    tau2 = model.tau**2
-    mu = float(np.prod(model.mu))
-    mu_sq = float(np.prod(mu2))
-    sigma2 = float(np.prod(mu2 + tau2)) - mu_sq
-
-    sigma2_u: dict[IndexSet, float] = {}
-    lower_u: dict[IndexSet, float] = {}
-    for u in IndexSet.full(d).subsets():
-        m = u.mask()
-        sigma2_u[u] = float(np.prod(np.where(m, tau2, mu2)))
-        lower_u[u] = float(np.prod(np.where(m, mu2 + tau2, mu2))) - mu_sq
-    empty = IndexSet.empty(d)
-    sigma2_u[empty] = 0.0
-    lower_u[empty] = 0.0
-    upper_u = {u: sigma2 - lower_u[u.complement()] for u in lower_u}
-    return AnovaReport(mu, sigma2, sigma2_u, lower_u, upper_u)
+    """Closed-form ANOVA of a product model, ``product_set_indices`` on every set."""
+    full = IndexSet.full(model.dim)
+    table = {u: product_set_indices(model, u) for u in full.subsets()}
+    return AnovaReport(
+        float(np.prod(model.mu)),
+        table[full][1],  # the lower index of the full set is the total variance
+        {u: t[0] for u, t in table.items()},
+        {u: t[1] for u, t in table.items()},
+        {u: t[2] for u, t in table.items()},
+    )
 
 
 def product_set_indices(model: ProductModel, u: IndexSet) -> tuple[float, float, float]:

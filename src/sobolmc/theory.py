@@ -158,11 +158,8 @@ def argmin_v(model: ProductModel, u: IndexSet, objective: str = "proxy") -> Inde
 # brute-force enumeration oracle
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Cap on the number of joint grid states an enumeration may visit."""
-
-    max_states: int = 10_000_000
+#: default cap on the joint grid states one enumeration may visit
+MAX_STATES = 10_000_000
 
 
 def _blend_table(model: DiscreteModel, u: IndexSet) -> np.ndarray:
@@ -215,24 +212,24 @@ def enumerate_expectation(
     model: DiscreteModel,
     kind: EstimatorKind,
     u: IndexSet,
-    budget: EnumerationBudget | int = EnumerationBudget(),
+    budget: int = MAX_STATES,
 ) -> tuple[float, float]:
     """Exact mean and variance of a per-sample term over all grid states.
 
     Sums the term over every joint state of the input vectors the kind
     consumes (m^2 .. m^4 states for m = levels^dim), which is the
     distribution induced by uniform sampling of the piecewise-constant
-    model.  Oracle centers default to the exact table mean.
+    model.  Oracle centers default to the exact table mean.  Raises
+    BudgetError when that is more than ``budget`` states.
     """
     if u.dim != model.dim:
         raise ValueError(f"set {u} has dimension {u.dim}, model has {model.dim}")
-    max_states = budget if isinstance(budget, int) else budget.max_states
     m = model.levels**model.dim
     roles = KINDS[kind.tag].roles
     states = m ** len(roles)
-    if states > max_states:
+    if states > budget:
         raise BudgetError(
-            f"{kind.tag} enumeration needs {states} joint states, budget is {max_states}"
+            f"{kind.tag} enumeration needs {states} joint states, budget is {budget}"
         )
 
     t = _batch_terms(_GridEvals(model, roles), kind, u, _resolve_center(model, kind))

@@ -25,7 +25,7 @@ import numpy as np
 from .core import IndexSet, blend
 from .estimators import KINDS, EstimatorKind
 from .models import BudgetError, DiscreteModel, ProductModel, discrete_anova
-from .theory import EnumerationBudget, enumerate_expectation, q_uv, q_v
+from .theory import MAX_STATES, enumerate_expectation, q_uv, q_v
 
 REL_TOL = 1e-10
 Q_TOL = 1e-12
@@ -78,7 +78,7 @@ def _check_enumerations(
     ledger: _Ledger,
     model: DiscreteModel,
     report,
-    budget: EnumerationBudget,
+    budget: int,
     trial: int,
 ) -> None:
     d = model.dim
@@ -146,7 +146,7 @@ def verify_suite(
     dims: int = 2,
     trials: int = 5,
     seed: int = 0,
-    max_states: int = EnumerationBudget().max_states,
+    max_states: int = MAX_STATES,
     log=print,
 ) -> bool:
     """Run the exact-identity suite on random models; True iff all pass.
@@ -159,14 +159,13 @@ def verify_suite(
         raise BudgetError(
             f"L={levels}, d={dims} needs {states} joint states, budget is {max_states}"
         )
-    budget = EnumerationBudget(max_states)
     ledger = _Ledger(log)
     for trial in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         model = DiscreteModel(rng.random((levels,) * dims))
         report = discrete_anova(model)
         _check_anova_invariants(ledger, report, dims, trial)
-        _check_enumerations(ledger, model, report, budget, trial)
+        _check_enumerations(ledger, model, report, max_states, trial)
         _check_q_identities(ledger, rng, trial)
     ledger.close(f"verify L={levels} d={dims} trials={trials}")
     return ledger.failures == 0

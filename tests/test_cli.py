@@ -168,6 +168,15 @@ class TestAnova:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())) == 7
 
+    def test_zero_total_variance_gives_undefined_lower_rel(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"kind": "product", "mu": [1, 1], "tau": [0, 0]}))
+        code, out, _ = run_cli(capsys, "anova", "--model", str(path))
+        assert code == 0
+        rows = json.loads(out)
+        assert len(rows) == 3
+        assert all(r["sigma2"] == 0.0 and r["lower_rel"] is None for r in rows)
+
     def test_full_listing_capped_at_dim_12(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         path.write_text(
@@ -262,6 +271,63 @@ class TestEfficiencyTable:
         assert code == 0
         row = list(csv.DictReader(io.StringIO(out)))[1]
         assert row["u"] == "{3}" and row["eff_corr2"] == "" and row["se_eff_orcl2"] == ""
+
+    def test_zero_total_variance_gives_undefined_rel_index(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        model = {"kind": "product", "mu": [1, 1], "tau": [0, 0]}
+        doc = {"model": model, "us": [[1], [1, 2]], "n": 100, "replicates": 2, "seed": 0}
+        cfg.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["rel_index"] for r in rows] == ["", ""]
+        code, out, _ = run_cli(
+            capsys, "efficiency-table", "--config", str(cfg), "--format", "json"
+        )
+        assert code == 0
+        assert [r["rel_index"] for r in json.loads(out)["rows"]] == [None, None]
+
+    def test_benchmark_equals_its_config(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        sets = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
+        doc = {"model": "g", "us": sets, "n": 3000, "replicates": 2, "seed": 4}
+        cfg.write_text(json.dumps(doc))
+        code, from_config, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 0
+        code, from_benchmark, _ = run_cli(
+            capsys,
+            "efficiency-table", "--benchmark", "g",
+            "--n", "3000", "--replicates", "2", "--seed", "4",
+        )
+        assert code == 0
+        assert from_benchmark == from_config
+
+    def test_io_error_names_path(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "efficiency-table", "--benchmark", "g", "--n", "100", "--replicates", "1",
+            "--out", "/no/such/dir/t.csv",
+        )
+        assert code == 1
+        assert "/no/such/dir/t.csv" in err
+
+    @pytest.mark.parametrize("value", ["-5", "0", "abc"])
+    def test_bad_worker_count_names_its_source(self, monkeypatch, capsys, value):
+        argv = ["efficiency-table", "--benchmark", "g", "--n", "100", "--replicates", "1"]
+
+        def exit_code_and_err(*extra):
+            try:
+                code = main(argv + list(extra))
+            except SystemExit as exc:  # argparse rejects non-integers itself
+                code = exc.code
+            return code, capsys.readouterr().err
+
+        monkeypatch.delenv("SOBOL_THREADS", raising=False)
+        code, err = exit_code_and_err("--threads", value)
+        assert code == 2 and "--threads" in err
+        monkeypatch.setenv("SOBOL_THREADS", value)
+        code, err = exit_code_and_err()
+        assert code == 2 and "SOBOL_THREADS" in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "efficiency-table")

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sobolmc.cli import main
 from sobolmc.core import IndexSet
 from sobolmc.experiments import (
     COMPARED_KINDS,
@@ -18,7 +22,6 @@ from sobolmc.experiments import (
     product6_ratio_note,
     product6_study,
     run_efficiency_experiment,
-    write_csv,
 )
 from sobolmc.models import analytic_anova, builtin_model
 
@@ -63,17 +66,12 @@ class TestConfigValidation:
             self.base(batch_size=0)
 
     def test_kind_gating(self):
-        with pytest.raises(ValueError, match="include_original"):
-            self.base(kinds=COMPARED_KINDS + ("original",))
-        self.base(kinds=COMPARED_KINDS + ("original",), include_original=True)
+        self.base(kinds=COMPARED_KINDS + ("original",))
+        self.base(kinds=("correlation1", "original"))
+        with pytest.raises(ValueError, match="not allowed"):
+            self.base(kinds=("correlation1", "upper"))
         with pytest.raises(ValueError, match="baseline"):
             self.base(kinds=("correlation2",))
-
-    def test_replicate_ids(self):
-        cfg = self.base()
-        assert cfg.replicate_ids == (0, 1)
-        with pytest.raises(ValueError):
-            self.base(replicate_ids=(0,))
 
 
 @pytest.fixture(scope="module")
@@ -109,22 +107,6 @@ class TestStudies:
         assert product6_ratio_note(u_of([1, 2], 6)) != ""
         assert product6_ratio_note(u_of([1], 6)) == ""
 
-    def test_replicate_permutation_only_reassociates(self):
-        base = ExperimentConfig(
-            model=builtin_model("g"), us=(u_of([1], 3), u_of([2, 3], 3)),
-            n=10_000, replicates=3, seed=5,
-        )
-        permuted = ExperimentConfig(
-            model=builtin_model("g"), us=(u_of([1], 3), u_of([2, 3], 3)),
-            n=10_000, replicates=3, seed=5, replicate_ids=(2, 0, 1),
-        )
-        a = run_efficiency_experiment(base)
-        b = run_efficiency_experiment(permuted)
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra.var_corr1 == pytest.approx(rb.var_corr1, rel=1e-9)
-            assert ra.eff_corr2 == pytest.approx(rb.eff_corr2, rel=1e-9)
-            assert ra.eff_orcl2 == pytest.approx(rb.eff_orcl2, rel=1e-9)
-
     def test_thread_workers_change_nothing(self):
         serial = g_function_study(n=8_000, replicates=3, seed=2, workers=1)
         threaded = g_function_study(n=8_000, replicates=3, seed=2, workers=3)
@@ -149,11 +131,9 @@ class TestStudies:
 
 
 class TestCsv:
-    def test_header_and_rows(self, tmp_path):
+    def test_header_and_rows(self):
         table = g_function_study(n=5_000, replicates=2, seed=1)
-        path = tmp_path / "table.csv"
-        write_csv(table, path)
-        text = path.read_text()
+        text = csv_text(table)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
         rows = list(csv.DictReader(io.StringIO(text)))
@@ -165,21 +145,15 @@ class TestCsv:
         got = float(rows[0]["var_corr1"])
         assert got == table.rows[0].var_corr1
 
-    def test_empty_table_is_header_only(self, tmp_path):
+    def test_empty_table_is_header_only(self):
         table = EfficiencyTable(rows=[], model_name="none", n=0, replicates=0, seed=0)
-        path = tmp_path / "empty.csv"
-        write_csv(table, path)
-        assert path.read_text().strip() == CSV_HEADER
+        assert csv_text(table) == CSV_HEADER + "\n"
 
-    def test_io_error_names_path(self):
-        table = EfficiencyTable(rows=[], model_name="none", n=0, replicates=0, seed=0)
-        with pytest.raises(OSError, match="no/such/dir"):
-            write_csv(table, "/no/such/dir/table.csv")
-
-    def test_csv_text_matches_file(self, tmp_path):
+    def test_csv_text_matches_file(self, tmp_path, capsys):
         table = g_function_study(n=5_000, replicates=2, seed=1)
         path = tmp_path / "t.csv"
-        write_csv(table, path)
+        argv = ["efficiency-table", "--benchmark", "g", "--n", "5000", "--replicates", "2"]
+        assert main(argv + ["--seed", "1", "--out", str(path)]) == 0
         assert path.read_text() == csv_text(table)
 
 
@@ -252,3 +226,51 @@ class TestConfigJson:
     def test_jackknife_se_needs_replicates(self):
         table = g_function_study(n=2_000, replicates=1, seed=1)
         assert table.rows[0].se_eff_corr2 is None
+
+
+def _product_config(mu, tau, sets, n, replicates, batch_size, workers):
+    return config_from_json(
+        {
+            "model": {"kind": "product", "mu": mu, "tau": tau},
+            "us": sets,
+            "n": n,
+            "replicates": replicates,
+            "seed": 0,
+            "batch_size": batch_size,
+            "workers": workers,
+        }
+    )
+
+
+@st.composite
+def product_experiments(draw):
+    d = draw(st.integers(1, 4))
+    mu = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+    tau = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=d, max_size=d))
+    extra = draw(st.lists(st.sets(st.integers(1, d), min_size=1), max_size=2))
+    sets = [list(range(1, d + 1))] + [sorted(s) for s in extra]
+    n = draw(st.integers(2, 17))
+    batch_size = draw(st.sampled_from([1, 5, n]))
+    replicates = draw(st.integers(2, 3))
+    return mu, tau, sets, n, replicates, batch_size
+
+
+@settings(max_examples=20, deadline=None)
+@given(product_experiments())
+def test_product_tables_are_thread_independent_and_exact(case):
+    mu, tau, sets, n, replicates, batch_size = case
+    serial, threaded = (
+        run_efficiency_experiment(_product_config(mu, tau, sets, n, replicates, batch_size, w))
+        for w in (1, 2)
+    )
+    assert csv_text(serial) == csv_text(threaded)
+    mu2 = [m * m for m in mu]
+    sigma2 = math.prod(m + t * t for m, t in zip(mu2, tau)) - math.prod(mu2)
+    for row, members in zip(serial.rows, sets):
+        if all(t == 0.0 for t in tau):
+            assert row.rel_index is None
+            continue
+        lower = math.prod(
+            m + t * t if j + 1 in members else m for j, (m, t) in enumerate(zip(mu2, tau))
+        ) - math.prod(mu2)
+        assert row.rel_index == pytest.approx(lower / sigma2, rel=1e-9, abs=1e-12)

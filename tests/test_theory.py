@@ -15,7 +15,7 @@ from sobolmc.models import (
     product_anova,
 )
 from sobolmc.theory import (
-    EnumerationBudget,
+    MAX_STATES,
     QFactors,
     argmin_v,
     diff_fourth_moment,
@@ -309,9 +309,7 @@ class TestEnumerateExpectation:
         with pytest.raises(BudgetError, match="budget"):
             enumerate_expectation(model, EstimatorKind.generalized(), u_of([1], 2), budget=100)
         # default budget: fine for 3^2 grids, the generalized kind visits 9^4 states
-        enumerate_expectation(
-            model, EstimatorKind.generalized(), u_of([1], 2), EnumerationBudget()
-        )
+        enumerate_expectation(model, EstimatorKind.generalized(), u_of([1], 2), MAX_STATES)
 
     def test_rejects_overlapping_v(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
