@@ -194,12 +194,15 @@ def _cmd_efficiency_table(args) -> int:
         raise UsageError("pass exactly one of --benchmark or --config")
     if args.threads is not None and args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    # the study flags default to None, so a flag that a config would override is seen
+    study = {"n": 1_000_000, "replicates": 10, "seed": 0, "center": None, "include_original": False}
+    given = {key: getattr(args, key) for key in study if getattr(args, key) is not None}
     if args.benchmark is not None:
-        config = builtin_config(
-            args.benchmark, args.n, args.replicates, args.seed,
-            args.center, args.threads, args.include_original,
-        )
+        config = builtin_config(args.benchmark, workers=args.threads, **(study | given))
     else:
+        if given:
+            flags = ", ".join("--" + key.replace("_", "-") for key in given)
+            raise UsageError(f"--config sets the experiment; drop {flags}")
         try:
             config = config_from_json(json.loads(Path(args.config).read_text()))
         except (OSError, ValueError, DimensionError) as exc:
@@ -264,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eff = sub.add_parser("efficiency-table", help="replicated efficiency benchmark")
     add_common(p_eff)
-    p_eff.set_defaults(format="csv")
+    p_eff.set_defaults(format="csv", seed=None)
     p_eff.add_argument("--benchmark", choices=sorted(BUILTIN_STUDIES), default=None)
     p_eff.add_argument("--config", default=None, help="experiment config JSON file")
-    p_eff.add_argument("--n", type=int, default=1_000_000)
-    p_eff.add_argument("--replicates", type=int, default=10)
+    p_eff.add_argument("--n", type=int, default=None, help="samples (default 1e6)")
+    p_eff.add_argument("--replicates", type=int, default=None, help="replicates (default 10)")
     p_eff.add_argument("--center", type=float, default=None)
-    p_eff.add_argument("--include-original", action="store_true")
+    p_eff.add_argument("--include-original", action="store_true", default=None)
     p_eff.add_argument("--threads", type=int, default=None, help="replicate workers (or SOBOL_THREADS)")
     p_eff.set_defaults(func=_cmd_efficiency_table)
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BlockSampler, DimensionError, IndexSet, RngSpec, blend
+from .core import ROLES, BlockSampler, DimensionError, IndexSet, RngSpec
 from .models import Model
 
 DEFAULT_BATCH = 32768
@@ -232,34 +232,37 @@ class EstimateReport:
 class _BatchEvals:
     """Caches the function values of one sample batch by blend signature.
 
-    Signatures are canonicalized (a full blend is the plain left point, an
-    empty one the plain right point) so repeated requests across several
-    target sets u cost one evaluation each, which is what makes sharing
-    sample vectors across sets cheaper than independent runs.
+    Each role's points are featurized as they arrive (``points`` may be
+    lazy pairs) and a blend is evaluated from blended features.  A full
+    blend is the plain left point, an empty one the plain right point;
+    each distinct signature is evaluated and counted once.
     """
 
-    def __init__(self, model: Model, arrays: dict[str, np.ndarray]) -> None:
+    def __init__(self, model: Model, points: dict | Iterable[tuple[str, np.ndarray]]) -> None:
         self.model = model
-        self.arrays = arrays
+        pairs = points.items() if isinstance(points, dict) else points
+        self.features = {role: model.features(x) for role, x in pairs}
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def plain(self, role: str) -> np.ndarray:
-        key = ("plain", role)
+    def _value(self, key: tuple, features: Callable[[], np.ndarray]) -> np.ndarray:
         if key not in self._cache:
-            self._cache[key] = self.model.evaluate(self.arrays[role])
+            feats = features()
+            self.model.counter.add(len(feats))
+            self._cache[key] = self.model._values(feats)
         return self._cache[key]
+
+    def plain(self, role: str) -> np.ndarray:
+        return self._value((role,), lambda: self.features[role])
 
     def blended(self, role_a: str, role_b: str, u: IndexSet) -> np.ndarray:
         if u.bits == (1 << u.dim) - 1:
             return self.plain(role_a)
         if u.bits == 0:
             return self.plain(role_b)
-        key = (role_a, role_b, u.bits)
-        if key not in self._cache:
-            self._cache[key] = self.model.evaluate(
-                blend(self.arrays[role_a], self.arrays[role_b], u)
-            )
-        return self._cache[key]
+        return self._value(
+            (role_a, role_b, u.bits),
+            lambda: np.where(u.mask(), self.features[role_a], self.features[role_b]),
+        )
 
 
 def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
@@ -329,33 +332,36 @@ def _batches(
     done = 0
     while done < n:
         b = min(batch_size, n - done)
-        yield _BatchEvals(model, {role: sampler.draw_role(role, b) for role in roles})
+        yield _BatchEvals(model, ((role, sampler.draw_role(role, b)) for role in roles))
         done += b
 
 
 def accumulate_terms(
     model: Model,
-    kind: EstimatorKind,
+    kinds: Sequence[EstimatorKind],
     us: Sequence[IndexSet],
     n: int,
     rng: RngSpec,
     batch_size: int = DEFAULT_BATCH,
-) -> tuple[dict[IndexSet, Accumulator], int]:
-    """Stream n per-sample terms for each set into accumulators.
+) -> tuple[dict[EstimatorKind, dict[IndexSet, Accumulator]], int]:
+    """Stream n per-sample terms of every kind for each set into accumulators.
 
-    Returns the per-set accumulators and the total count of distinct
-    function evaluations.  Not defined for the original kind, whose
-    estimate is not a plain term mean.
+    One pass shares each batch's draws and values among all kinds and sets;
+    each accumulator equals a single-kind run's.  Returns them per kind and
+    set, with the count of distinct function evaluations.  Not defined for
+    the original kind, whose estimate is not a plain term mean.
     """
-    if kind.tag == "original":
+    if any(kind.tag == "original" for kind in kinds):
         raise ValueError("the original estimator is not a plain term mean")
 
-    center = _resolve_center(model, kind)
-    accs = {u: Accumulator() for u in us}
+    centers = {kind: _resolve_center(model, kind) for kind in kinds}
+    accs = {kind: {u: Accumulator() for u in us} for kind in kinds}
+    roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
     start = model.counter.count
-    for ev in _batches(model, KINDS[kind.tag].roles, us, n, rng, batch_size):
-        for u in us:
-            accs[u].add_batch(_batch_terms(ev, kind, u, center))
+    for ev in _batches(model, roles, us, n, rng, batch_size):
+        for kind, per_set in accs.items():
+            for u in us:
+                per_set[u].add_batch(_batch_terms(ev, kind, u, centers[kind]))
     return accs, model.counter.count - start
 
 
@@ -379,15 +385,15 @@ def run_multi_u(
     """
     if kind.tag == "original":
         return _run_original_multi(model, us, n, rng, batch_size)
-    accs, evals = accumulate_terms(model, kind, us, n, rng, batch_size)
+    accs, evals = accumulate_terms(model, [kind], us, n, rng, batch_size)
     return [
         EstimateReport(
             kind=kind,
             u=u,
             n=n,
-            estimate=accs[u].mean,
-            term_variance=accs[u].variance() if n > 1 else None,
-            std_error=math.sqrt(accs[u].variance() / n) if n > 1 else None,
+            estimate=accs[kind][u].mean,
+            term_variance=accs[kind][u].variance() if n > 1 else None,
+            std_error=math.sqrt(accs[kind][u].variance() / n) if n > 1 else None,
             evals=evals,
         )
         for u in us

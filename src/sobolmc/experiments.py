@@ -74,6 +74,10 @@ def product6_ratio_note(u: IndexSet) -> str:
     )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)  # bool is no count
+
+
 def efficiency(var_base: float, var_other: float, cost_base: int, cost_other: int) -> float:
     """Cost-adjusted variance ratio (cost_base/cost_other)*(var_base/var_other)."""
     if var_base <= 0.0 or var_other <= 0.0:
@@ -110,8 +114,8 @@ class ExperimentConfig:
             raise ValueError("need at least one replicate")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        w = self.workers  # bool is not a count here
-        if w is not None and (isinstance(w, bool) or not isinstance(w, Integral) or w < 1):
+        w = self.workers
+        if w is not None and (not _is_int(w) or w < 1):
             raise ValueError(f"'workers' must be an integer >= 1 or null, got {w!r}")
         allowed = COMPARED_KINDS + ("original",)
         bad = [k for k in self.kinds if k not in allowed]
@@ -185,17 +189,17 @@ class EfficiencyTable:
 
 
 def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
-    """One replicate: per-kind, per-set accumulators from shared vectors."""
+    """One replicate: per-kind, per-set accumulators from one shared pass."""
     local = model.clone()
     rng = RngSpec(config.seed, rep)
-    out: dict[str, dict[IndexSet, Accumulator | float]] = {}
-    for tag in config.kinds:
-        kind = EstimatorKind.of(tag, config.center)
-        if tag == "original":
-            reports = run_multi_u(local, kind, config.us, config.n, rng, config.batch_size)
-            out[tag] = {r.u: r.estimate for r in reports}
-        else:
-            out[tag], _ = accumulate_terms(local, kind, config.us, config.n, rng, config.batch_size)
+    kinds = [EstimatorKind.of(tag, config.center) for tag in config.kinds if tag != "original"]
+    accs, _ = accumulate_terms(local, kinds, config.us, config.n, rng, config.batch_size)
+    out: dict[str, dict[IndexSet, Accumulator | float]] = {k.tag: accs[k] for k in kinds}
+    if "original" in config.kinds:
+        reports = run_multi_u(
+            local, EstimatorKind.original(), config.us, config.n, rng, config.batch_size
+        )
+        out["original"] = {r.u: r.estimate for r in reports}
     return out
 
 
@@ -402,7 +406,14 @@ def config_from_json(obj: dict) -> ExperimentConfig:
             raise ValueError(f"experiment configuration needs {key!r}")
     spec = obj["model"]
     model = builtin_model(spec) if isinstance(spec, str) else model_from_json(spec)
-    us = tuple(IndexSet.from_indices(ix, model.dim) for ix in obj["us"])
+    for key in ("n", "replicates", "seed", "batch_size"):
+        if key in obj and not _is_int(obj[key]):
+            raise ValueError(f"{key!r} must be an integer, got {obj[key]!r}")
+    us = obj["us"]
+    if not isinstance(us, (list, tuple)) or not all(
+        isinstance(ix, (list, tuple)) and all(map(_is_int, ix)) for ix in us
+    ):
+        raise ValueError(f"'us' must be a list of integer lists, got {us!r}")
     center = obj.get("center")
     if center == "mean":
         center = None
@@ -411,9 +422,11 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     kinds = obj.get("kinds")
     if kinds is None:
         kinds = COMPARED_KINDS + (("original",) if obj.get("include_original") else ())
+    elif not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
+        raise ValueError(f"'kinds' must be a list of strings, got {kinds!r}")
     return ExperimentConfig(
         model=model,
-        us=us,
+        us=tuple(IndexSet.from_indices(ix, model.dim) for ix in us),
         n=int(obj["n"]),
         replicates=int(obj["replicates"]),
         seed=int(obj["seed"]),

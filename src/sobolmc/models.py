@@ -136,7 +136,12 @@ class Model:
         self.dim = dim
         self.counter = EvalCounter()
 
-    def _values(self, x: np.ndarray) -> np.ndarray:
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """Features (..., d) of points, feature j from x_j alone: blends commute with them."""
+        return x
+
+    def _values(self, features: np.ndarray) -> np.ndarray:
+        """f from the features of points."""
         raise NotImplementedError
 
     def evaluate(self, x) -> float | np.ndarray:
@@ -150,7 +155,7 @@ class Model:
                 f"model of dimension {self.dim} got point of dimension {x.shape[-1]}"
             )
         self.counter.add(int(np.prod(x.shape[:-1], dtype=np.int64)) if x.ndim > 1 else 1)
-        out = self._values(x)
+        out = self._values(self.features(x))
         return float(out) if x.ndim == 1 else out
 
     def mean(self) -> float:
@@ -187,16 +192,15 @@ class ProductModel(Model):
         self.tau = tau
         self.kinds = tuple(resolved)
 
-    def factor_values(self, x: np.ndarray) -> np.ndarray:
-        """h_j(x_j) = mu_j + tau_j g_j(x_j), shape (..., d)."""
-        x = np.asarray(x, dtype=np.float64)
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The factor values h_j(x_j) = mu_j + tau_j g_j(x_j), shape (..., d)."""
         h = np.empty_like(x)
         for j, kind in enumerate(self.kinds):
             h[..., j] = self.mu[j] + self.tau[j] * kind.g(x[..., j])
         return h
 
-    def _values(self, x: np.ndarray) -> np.ndarray:
-        return np.prod(self.factor_values(x), axis=-1)
+    def _values(self, h: np.ndarray) -> np.ndarray:
+        return np.prod(h, axis=-1)
 
     def mean(self) -> float:
         return float(np.prod(self.mu))
@@ -214,10 +218,12 @@ class GFunction(Model):
         super().__init__(a.shape[0])
         self.a = a
 
-    def _values(self, x: np.ndarray) -> np.ndarray:
-        return np.prod(
-            (np.abs(4.0 * x - 2.0) + 2.0 + 3.0 * self.a) / (1.0 + self.a), axis=-1
-        )
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The factor values (|4 x_j - 2| + 2 + 3 a_j) / (1 + a_j)."""
+        return (np.abs(4.0 * x - 2.0) + 2.0 + 3.0 * self.a) / (1.0 + self.a)
+
+    def _values(self, h: np.ndarray) -> np.ndarray:
+        return np.prod(h, axis=-1)
 
     def mean(self) -> float:
         # each factor has mean (1 + 2 + 3a)/(1+a) = 3
@@ -251,8 +257,11 @@ class DiscreteModel(Model):
         self.levels = table.shape[0]
         self.table = table
 
-    def _values(self, x: np.ndarray) -> np.ndarray:
-        idx = np.floor(x * self.levels).astype(np.int64)
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The cell indices floor(x_j L)."""
+        return np.floor(x * self.levels).astype(np.int64)
+
+    def _values(self, idx: np.ndarray) -> np.ndarray:
         flat = np.ravel_multi_index(
             tuple(idx[..., j] for j in range(self.dim)), self.table.shape
         )

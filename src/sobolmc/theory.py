@@ -64,8 +64,8 @@ def q_v(model: ProductModel, x, z, v: IndexSet):
     Evaluated as the three-term product of squared/cross factor values;
     identical to squaring the difference directly.
     """
-    hx = model.factor_values(np.asarray(x, dtype=np.float64))
-    hz = model.factor_values(np.asarray(z, dtype=np.float64))
+    hx = model.features(np.asarray(x, dtype=np.float64))
+    hz = model.features(np.asarray(z, dtype=np.float64))
     m = v.mask()
     t1 = np.prod(hx**2, axis=-1)
     t2 = np.prod(np.where(m, hx**2, hz**2), axis=-1)
@@ -81,9 +81,9 @@ def q_uv(model: ProductModel, x, y, w, u: IndexSet, v2: IndexSet):
     """
     if not v2.isdisjoint(u):
         raise ValueError(f"v2={v2} must be disjoint from u={u}")
-    hx = model.factor_values(np.asarray(x, dtype=np.float64))
-    hy = model.factor_values(np.asarray(y, dtype=np.float64))
-    hw = model.factor_values(np.asarray(w, dtype=np.float64))
+    hx = model.features(np.asarray(x, dtype=np.float64))
+    hy = model.features(np.asarray(y, dtype=np.float64))
+    hw = model.features(np.asarray(w, dtype=np.float64))
     mu_ = u.mask()
     mv2 = v2.mask()
     a2 = np.prod(np.where(mu_, hx**2, hy**2), axis=-1)

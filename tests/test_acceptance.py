@@ -155,12 +155,11 @@ def test_criterion_5_variance_identity_consistency():
     lower = product_anova(model).lower_u[u]
 
     # pipeline A: per-sample term variance from 10 x 1e5 = 1e6 samples
+    gen = EstimatorKind.generalized()
     reps = []
     for rep in range(10):
-        accs, _ = accumulate_terms(
-            model.clone(), EstimatorKind.generalized(), [u], 100_000, RngSpec(404, rep)
-        )
-        reps.append(accs[u].variance())
+        accs, _ = accumulate_terms(model.clone(), [gen], [u], 100_000, RngSpec(404, rep))
+        reps.append(accs[gen][u].variance())
     var_a = float(np.mean(reps))
     se_a = float(np.std(reps, ddof=1)) / math.sqrt(len(reps))
 

@@ -238,7 +238,12 @@ class TestEfficiencyTable:
         assert len(out.strip().split("\n")) == 3
 
     @pytest.mark.parametrize(
-        "key, value", [("center", "abc"), ("workers", "2"), ("workers", 0)]
+        "key, value",
+        [
+            ("center", "abc"), ("workers", "2"), ("workers", 0),
+            ("n", 20.9), ("n", "abc"), ("replicates", True), ("seed", 1.0),
+            ("batch_size", "7"), ("us", 5), ("us", [[1.0]]), ("kinds", "corr1"),
+        ],
     )
     def test_config_value_types_are_usage_errors(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "exp.json"
@@ -247,6 +252,21 @@ class TestEfficiencyTable:
         code, _, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
         assert code == 2
         assert f"'{key}'" in err
+
+    def test_config_rejects_the_flags_it_overrides(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"model": "g", "us": [[1]], "n": 200, "replicates": 2, "seed": 0}))
+        flags = ["--n", "5", "--replicates", "9", "--seed", "4", "--center", "3",
+                 "--include-original"]
+        code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg), *flags)
+        assert code == 2 and out == ""
+        for flag in flags[::2]:
+            assert flag in err
+        code, _, err = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--seed", "0")
+        assert code == 2 and "--seed" in err
+        # --threads only fills a worker count the config leaves unset
+        code, _, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--threads", "2")
+        assert code == 0
 
     def test_inert_coordinate_gives_undefined_efficiencies(self, tmp_path, capsys):
         # tau_3 = 0: corr1, corr2 and orcl1 terms are exact zeros at u = {3}

@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
+from sobolmc.core import ROLES, BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
+    KINDS,
     Accumulator,
     EstimatorKind,
     _batch_terms,
     _BatchEvals,
+    accumulate_terms,
     run_estimator,
     run_multi_u,
 )
-from sobolmc.models import DiscreteModel, Model, ProductModel, builtin_model, discrete_anova
+from sobolmc.experiments import BUILTIN_STUDIES, COMPARED_KINDS
+from sobolmc.models import (
+    DiscreteModel,
+    GFunction,
+    Model,
+    ProductModel,
+    builtin_model,
+    discrete_anova,
+)
 from sobolmc.theory import enumerate_expectation
 
 
@@ -34,8 +44,11 @@ class _Shifted(Model):
         self.inner = inner
         self.c = c
 
-    def _values(self, x):
-        return self.inner._values(x) - self.c
+    def features(self, x):
+        return self.inner.features(x)
+
+    def _values(self, features):
+        return self.inner._values(features) - self.c
 
     def mean(self):
         return self.inner.mean() - self.c
@@ -260,10 +273,15 @@ class TestRunEstimator:
         ],
     )
     def test_cost_accounting(self, kind):
-        model = builtin_model("g")
-        n = 1000
-        report = run_estimator(model, kind, u_of([1, 3], 3), n, RngSpec(0))
-        assert report.evals == n * kind.cost
+        # every singleton and pair of three model families costs n * cost exactly
+        n = 40
+        for model in (builtin_model("g"), builtin_model("product6"), random_discrete(4, 2, 3)):
+            d = model.dim
+            sets = [u_of([i], d) for i in range(1, d + 1)]
+            sets += [u_of([i, j], d) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
+            for u in sets:
+                report = run_estimator(model, kind, u, n, RngSpec(0))
+                assert report.evals == n * kind.cost, (type(model).__name__, u)
 
     def test_multi_u_shares_plain_evaluations(self):
         model = builtin_model("g")
@@ -426,3 +444,81 @@ class TestOriginal:
         want = float(np.mean(fx * fb)) - mu_hat**2
         assert rep.estimate == pytest.approx(want, rel=1e-12)
         assert rep.evals == 2 * n
+
+
+@st.composite
+def sampled_models(draw):
+    """A random product (uniform or tent), g-function or discrete model, d = 1..4."""
+    d = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(["product", "g", "discrete"]))
+    if family == "product":
+        mu = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d))
+        tau = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 1.5]), min_size=d, max_size=d))
+        return ProductModel(mu, tau, draw(st.sampled_from(["uniform", "tent"])))
+    if family == "g":
+        return GFunction(draw(st.lists(st.floats(0.0, 20.0), min_size=d, max_size=d)))
+    levels = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return DiscreteModel(np.random.default_rng(seed).normal(size=(levels,) * d))
+
+
+class TestSharedPass:
+    @pytest.mark.parametrize("name, per_sample", [("product6", 20), ("g", 14)])
+    def test_study_kinds_cost_the_shared_design(self, name, per_sample):
+        # f(x), f(y), f(x_u#y_-u) and f(z_u#x_-u) once each: 2 + 2 * |sets|
+        model = builtin_model(name)
+        us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
+        kinds = [EstimatorKind.of(tag) for tag in COMPARED_KINDS]
+        n = 1000
+        _, evals = accumulate_terms(model, kinds, us, n, RngSpec(5), batch_size=300)
+        assert evals == per_sample * n == model.counter.count
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_shared_pass_equals_one_run_per_kind(self, data):
+        model = data.draw(sampled_models())
+        d = model.dim
+        n = data.draw(st.integers(1, 17))
+        non_divisor = n - 1 if n >= 3 else n + 1
+        batch_size = data.draw(st.sampled_from([1, 5, n, non_divisor]))
+        bits = data.draw(st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=3))
+        us = [IndexSet(b, d) for b in sorted({0, 2**d - 1, *bits})]  # empty and full too
+        center = data.draw(st.one_of(st.none(), st.floats(-3.0, 3.0)))
+        kinds = [EstimatorKind.of(tag, center) for tag in KINDS if tag != "original"]
+        rng = RngSpec(data.draw(st.integers(0, 2**16)), data.draw(st.integers(0, 3)))
+
+        shared, _ = accumulate_terms(model.clone(), kinds, us, n, rng, batch_size)
+        for kind in kinds:
+            single, _ = accumulate_terms(model.clone(), [kind], us, n, rng, batch_size)
+            for u in us:
+                a, b = shared[kind][u], single[kind][u]
+                assert (a.n, a.mean, a.m2) == (b.n, b.mean, b.m2), (kind.tag, u)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_batch_values_are_pointwise_evaluations(self, data):
+        model = data.draw(sampled_models())
+        d = model.dim
+        size = data.draw(st.integers(1, 17))
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = {role: gen.random((size, d)) for role in ROLES}
+        ev = _BatchEvals(model, points)
+        reference = model.clone()
+        requests = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(ROLES), st.sampled_from(ROLES), st.integers(0, 2**d - 1)),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        seen = set()
+        for role_a, role_b, b in requests:
+            u = IndexSet(b, d)
+            before = model.counter.count
+            got = ev.blended(role_a, role_b, u)
+            want = reference.evaluate(blend(points[role_a], points[role_b], u))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # a full blend is the plain left point, an empty one the plain right point
+            signature = (role_a,) if b == 2**d - 1 else (role_b,) if b == 0 else (role_a, role_b, b)
+            assert model.counter.count - before == (0 if signature in seen else size)
+            seen.add(signature)

@@ -202,17 +202,14 @@ class TestVarianceIdentity:
         v = u.complement()
         n = 300_000
 
-        accs, _ = accumulate_terms(
-            model, EstimatorKind.generalized(), [u], n, RngSpec(101)
-        )
-        term_var = accs[u].variance()
+        gen = EstimatorKind.generalized()
+        accs, _ = accumulate_terms(model, [gen], [u], n, RngSpec(101))
+        term_var = accs[gen][u].variance()
         # SE of a sample variance from replicate spread
         reps = []
         for rep in range(10):
-            a, _ = accumulate_terms(
-                model.clone(), EstimatorKind.generalized(), [u], n // 10, RngSpec(77, rep)
-            )
-            reps.append(a[u].variance())
+            a, _ = accumulate_terms(model.clone(), [gen], [u], n // 10, RngSpec(77, rep))
+            reps.append(a[gen][u].variance())
         se_var = float(np.std(reps, ddof=1)) / math.sqrt(len(reps))
 
         sampler = BlockSampler(RngSpec(202), 6)
