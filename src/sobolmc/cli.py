@@ -223,6 +223,9 @@ def _cmd_efficiency_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag in ("levels", "dims", "trials"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     ok = verify_suite(
         levels=args.levels,
         dims=args.dims,

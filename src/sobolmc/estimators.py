@@ -113,34 +113,6 @@ class EstimatorKind:
         gen = tag == "generalized"
         return cls(tag, center if oracle else None, v if gen else None, v2 if gen else None)
 
-    @classmethod
-    def original(cls) -> "EstimatorKind":
-        return cls("original")
-
-    @classmethod
-    def correlation1(cls) -> "EstimatorKind":
-        return cls("correlation1")
-
-    @classmethod
-    def correlation2(cls) -> "EstimatorKind":
-        return cls("correlation2")
-
-    @classmethod
-    def oracle1(cls, center: float | None = None) -> "EstimatorKind":
-        return cls("oracle1", center=center)
-
-    @classmethod
-    def oracle2(cls, center: float | None = None) -> "EstimatorKind":
-        return cls("oracle2", center=center)
-
-    @classmethod
-    def generalized(cls, v: IndexSet | None = None, v2: IndexSet | None = None) -> "EstimatorKind":
-        return cls("generalized", v=v, v2=v2)
-
-    @classmethod
-    def upper(cls) -> "EstimatorKind":
-        return cls("upper")
-
 
 # ---------------------------------------------------------------------------
 # streaming accumulation
@@ -149,9 +121,9 @@ class EstimatorKind:
 class Accumulator:
     """Streaming count / mean / sum-of-squared-deviations, mergeable.
 
-    Welford updates for single values, Chan's pairwise formula for batch
-    and cross-worker merges; merging replicates the statistics of the
-    concatenated stream up to floating-point reassociation.
+    Chan's pairwise formula for batch and cross-worker merges; merging
+    replicates the statistics of the concatenated stream up to
+    floating-point reassociation.
     """
 
     __slots__ = ("n", "mean", "m2")
@@ -166,12 +138,6 @@ class Accumulator:
         acc = cls()
         acc.add_batch(np.asarray(values, dtype=np.float64))
         return acc
-
-    def update(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
 
     def add_batch(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -235,7 +201,10 @@ class _BatchEvals:
     Each role's points are featurized as they arrive (``points`` may be
     lazy pairs) and a blend is evaluated from blended features.  A full
     blend is the plain left point, an empty one the plain right point;
-    each distinct signature is evaluated and counted once.
+    each distinct signature is evaluated once and counted once per point.
+    The exact oracle passes grid midpoints with each role on its own axis,
+    so the values broadcast to every joint grid state and a count is the
+    number of distinct states evaluated.
     """
 
     def __init__(self, model: Model, points: dict | Iterable[tuple[str, np.ndarray]]) -> None:
@@ -247,7 +216,7 @@ class _BatchEvals:
     def _value(self, key: tuple, features: Callable[[], np.ndarray]) -> np.ndarray:
         if key not in self._cache:
             feats = features()
-            self.model.counter.add(len(feats))
+            self.model.counter.add(feats[..., 0].size)
             self._cache[key] = self.model._values(feats)
         return self._cache[key]
 
@@ -268,10 +237,9 @@ class _BatchEvals:
 def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     """Per-sample terms of ``kind`` for target set u; the one place each is written.
 
-    ``ev`` is any value source with ``plain(role)`` and ``blended(a, b, u)``:
-    a sample batch (``_BatchEvals``) or every joint grid state of a
-    tabulated model (``theory._GridEvals``), so the exact oracle checks the
-    same algebra the sampler streams.  ``original`` yields its raw cross
+    ``ev`` is a ``_BatchEvals`` over a sample batch or, in the exact oracle,
+    over every joint grid state of a tabulated model, so the oracle checks
+    the same algebra the sampler streams.  ``original`` yields its raw cross
     moment f(x) f(x_u#y_-u).
     """
     tag = kind.tag
@@ -415,7 +383,7 @@ def run_estimator(
 def _run_original_multi(model, us, n, rng, batch_size) -> list[EstimateReport]:
     if n < 2:
         raise ValueError("the original estimator needs n >= 2")
-    kind = EstimatorKind.original()
+    kind = EstimatorKind("original")
     cross = {u: Accumulator() for u in us}
     fb_mean = {u: Accumulator() for u in us}
     fx_mean = Accumulator()

@@ -197,7 +197,7 @@ def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
     out: dict[str, dict[IndexSet, Accumulator | float]] = {k.tag: accs[k] for k in kinds}
     if "original" in config.kinds:
         reports = run_multi_u(
-            local, EstimatorKind.original(), config.us, config.n, rng, config.batch_size
+            local, EstimatorKind("original"), config.us, config.n, rng, config.batch_size
         )
         out["original"] = {r.u: r.estimate for r in reports}
     return out

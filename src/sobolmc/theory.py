@@ -22,7 +22,10 @@ factors with symmetric shapes) and is a monotone surrogate otherwise.
 
 ``enumerate_expectation`` is the brute-force oracle: for tabulated models
 it computes the exact mean and variance of the sampler's own per-sample
-term (``_batch_terms``) over all joint grid states of the 2-4 input vectors.
+term over all joint grid states of the 2-4 input vectors.  It feeds the
+cell midpoints of every state to the sampler's ``_BatchEvals``, one role
+per grid axis, so the feature blends, table lookups and ``_batch_terms``
+it checks are the code that samples.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IndexSet
-from .estimators import KINDS, EstimatorKind, _batch_terms, _resolve_center
+from .estimators import KINDS, EstimatorKind, _BatchEvals, _batch_terms, _resolve_center
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
 
@@ -162,50 +165,10 @@ def argmin_v(model: ProductModel, u: IndexSet, objective: str = "proxy") -> Inde
 MAX_STATES = 10_000_000
 
 
-def _blend_table(model: DiscreteModel, u: IndexSet) -> np.ndarray:
-    """(m, m) array: entry [a, b] = f at (coords of state a on u, of b off u)."""
-    m = model.levels**model.dim
-    digits = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
-    blended = np.where(u.mask(), digits[:, None, :], digits[None, :, :])
-    flat = np.ravel_multi_index(
-        tuple(blended[..., j] for j in range(model.dim)), model.table.shape
-    )
-    return model.table.reshape(-1)[flat]
-
-
 def _stable_mean(t: np.ndarray) -> float:
     # pairwise partial sums along trailing axes, compensated outer sum
     parts = np.sum(t.reshape(t.shape[0], -1), axis=1)
     return math.fsum(parts.tolist()) / t.size
-
-
-class _GridEvals:
-    """Every joint grid state of a tabulated model as a ``_batch_terms`` source.
-
-    Role k of ``roles`` is axis k of the joint state grid.  ``plain`` and
-    ``blended`` return table lookups as views with singleton axes on the
-    roles they do not read, so the term broadcasts to the full grid and no
-    input array of that size is ever built.
-    """
-
-    def __init__(self, model: DiscreteModel, roles: tuple[str, ...]) -> None:
-        self.model = model
-        self.axis = {role: k for k, role in enumerate(roles)}
-
-    def _place(self, values: np.ndarray, roles: tuple[str, ...]) -> np.ndarray:
-        axes = [self.axis[role] for role in roles]
-        if axes != sorted(axes):
-            values = values.T
-        shape = [1] * len(self.axis)
-        for k, size in zip(sorted(axes), values.shape):
-            shape[k] = size
-        return values.reshape(shape)  # a view: only singleton axes are added
-
-    def plain(self, role: str) -> np.ndarray:
-        return self._place(self.model.table.reshape(-1), (role,))
-
-    def blended(self, role_a: str, role_b: str, u: IndexSet) -> np.ndarray:
-        return self._place(_blend_table(self.model, u), (role_a, role_b))
 
 
 def enumerate_expectation(
@@ -226,14 +189,23 @@ def enumerate_expectation(
         raise ValueError(f"set {u} has dimension {u.dim}, model has {model.dim}")
     m = model.levels**model.dim
     roles = KINDS[kind.tag].roles
-    states = m ** len(roles)
+    n_roles = len(roles)
+    states = m**n_roles
     if states > budget:
         raise BudgetError(
             f"{kind.tag} enumeration needs {states} joint states, budget is {budget}"
         )
 
-    t = _batch_terms(_GridEvals(model, roles), kind, u, _resolve_center(model, kind))
-    t = np.broadcast_to(t, (m,) * len(roles))
+    # role k reads the cell midpoints of all m states along its own axis k,
+    # so every feature blend and table lookup broadcasts to the joint grid
+    cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
+    mids = (cells + 0.5) / model.levels
+    ev = _BatchEvals(model, [
+        (role, mids.reshape((1,) * k + (m,) + (1,) * (n_roles - 1 - k) + (model.dim,)))
+        for k, role in enumerate(roles)
+    ])
+    t = _batch_terms(ev, kind, u, _resolve_center(model, kind))
+    t = np.broadcast_to(t, (m,) * n_roles)
     mean = _stable_mean(t)
     var = _stable_mean((t - mean) ** 2)
     return mean, var

@@ -11,9 +11,10 @@ so the suite can check, with no sampling error, that
 * the original estimator's cross moment enumerates to mu^2 + lower_u,
 * the expanded Q factors equal the literal squared differences.
 
-The enumerations run the same ``_batch_terms`` the sampler streams, so a
-wrong term shows up here.  Any violation is reported on the ledger and
-fails the suite.
+The enumerations run the sampler's own ``_BatchEvals`` (feature blends,
+table lookups and ``_batch_terms``) on every joint grid state, so a wrong
+term, blend or lookup shows up here.  Any violation is reported on the
+ledger and fails the suite.
 """
 
 from __future__ import annotations
@@ -88,17 +89,17 @@ def _check_enumerations(
             continue
         lower, upper = report.lower_u[u], report.upper_u[u]
         plain_kinds = [
-            (EstimatorKind.correlation1(), lower),
-            (EstimatorKind.correlation2(), lower),
-            (EstimatorKind.oracle1(mu), lower),
-            (EstimatorKind.oracle2(mu), lower),
-            (EstimatorKind.upper(), upper),
+            (EstimatorKind("correlation1"), lower),
+            (EstimatorKind("correlation2"), lower),
+            (EstimatorKind("oracle1", center=mu), lower),
+            (EstimatorKind("oracle2", center=mu), lower),
+            (EstimatorKind("upper"), upper),
         ]
         for kind, want in plain_kinds:
             got, _ = enumerate_expectation(model, kind, u, budget)
             ledger.check(_rel_err(got, want) < REL_TOL, f"trial {trial}: E[{kind.tag}] at u={u}")
 
-        got, _ = enumerate_expectation(model, EstimatorKind.original(), u, budget)
+        got, _ = enumerate_expectation(model, EstimatorKind("original"), u, budget)
         ledger.check(
             _rel_err(got, mu**2 + lower) < REL_TOL,
             f"trial {trial}: E[original cross moment] at u={u}",
@@ -108,7 +109,7 @@ def _check_enumerations(
         for v in comp.subsets():
             for v2 in comp.subsets():
                 got, _ = enumerate_expectation(
-                    model, EstimatorKind.generalized(v, v2), u, budget
+                    model, EstimatorKind("generalized", v=v, v2=v2), u, budget
                 )
                 ledger.check(
                     _rel_err(got, lower) < REL_TOL,

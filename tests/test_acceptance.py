@@ -57,11 +57,11 @@ def test_criterion_1_exact_identities():
                 continue
             lower, upper = rep.lower_u[u], rep.upper_u[u]
             for kind, want in [
-                (EstimatorKind.correlation1(), lower),
-                (EstimatorKind.correlation2(), lower),
-                (EstimatorKind.oracle1(mu), lower),
-                (EstimatorKind.oracle2(mu), lower),
-                (EstimatorKind.upper(), upper),
+                (EstimatorKind("correlation1"), lower),
+                (EstimatorKind("correlation2"), lower),
+                (EstimatorKind("oracle1", center=mu), lower),
+                (EstimatorKind("oracle2", center=mu), lower),
+                (EstimatorKind("upper"), upper),
             ]:
                 got, _ = enumerate_expectation(model, kind, u)
                 assert abs(got - want) <= REL_TOL * abs(want), (kind.tag, str(u), trial)
@@ -69,7 +69,7 @@ def test_criterion_1_exact_identities():
             comp = u.complement()
             for v in comp.subsets():
                 for v2 in comp.subsets():
-                    got, _ = enumerate_expectation(model, EstimatorKind.generalized(v, v2), u)
+                    got, _ = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
                     assert abs(got - lower) <= REL_TOL * abs(lower), (str(v), str(v2), str(u))
                     checked += 1
     elapsed = time.perf_counter() - started
@@ -155,7 +155,7 @@ def test_criterion_5_variance_identity_consistency():
     lower = product_anova(model).lower_u[u]
 
     # pipeline A: per-sample term variance from 10 x 1e5 = 1e6 samples
-    gen = EstimatorKind.generalized()
+    gen = EstimatorKind("generalized")
     reps = []
     for rep in range(10):
         accs, _ = accumulate_terms(model.clone(), [gen], [u], 100_000, RngSpec(404, rep))
@@ -250,5 +250,5 @@ def test_criterion_7_per_sample_zero_property():
     assert np.all(upper == 0.0)
     # and the sampler's own terms are the same exact zeros
     ev = _BatchEvals(model, {"x": x, "y": y, "z": z})
-    assert np.array_equal(_batch_terms(ev, EstimatorKind.correlation2(), u, None), corr2)
-    assert np.array_equal(_batch_terms(ev, EstimatorKind.upper(), u, None), upper)
+    assert np.array_equal(_batch_terms(ev, EstimatorKind("correlation2"), u, None), corr2)
+    assert np.array_equal(_batch_terms(ev, EstimatorKind("upper"), u, None), upper)

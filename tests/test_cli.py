@@ -392,23 +392,48 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
 
-    def test_corrupted_estimator_fails(self, capsys, monkeypatch):
-        # negative control: break the sampler's correlation2 term where the
-        # oracle looks it up, and the exact suite must notice
-        from sobolmc import theory
+    @pytest.mark.parametrize("part", ["term", "blend", "axes"])
+    def test_corrupted_estimator_fails(self, capsys, monkeypatch, part):
+        # negative controls: break the sampler's correlation2 term, swap the
+        # operands of its feature blend, or read the table axes in reverse,
+        # and the exact suite must notice
+        from sobolmc import estimators, models, theory
         from sobolmc.verification import verify_suite
 
-        real = theory._batch_terms
+        if part == "term":
+            real_terms = theory._batch_terms
 
-        def broken(ev, kind, u, center):
-            t = real(ev, kind, u, center)
-            return t + 1e-3 if kind.tag == "correlation2" else t
+            def broken(ev, kind, u, center):
+                t = real_terms(ev, kind, u, center)
+                return t + 1e-3 if kind.tag == "correlation2" else t
 
-        monkeypatch.setattr(theory, "_batch_terms", broken)
+            monkeypatch.setattr(theory, "_batch_terms", broken)
+        elif part == "blend":
+            real_blended = estimators._BatchEvals.blended
+            monkeypatch.setattr(
+                estimators._BatchEvals,
+                "blended",
+                lambda self, role_a, role_b, u: real_blended(self, role_b, role_a, u),
+            )
+        else:
+            real_values = models.DiscreteModel._values
+            monkeypatch.setattr(
+                models.DiscreteModel, "_values", lambda self, idx: real_values(self, idx[..., ::-1])
+            )
         assert verify_suite(levels=3, dims=2, trials=1, log=None) is False
         code, out, _ = run_cli(capsys, "verify", "--trials", "1")
         assert code == 1
         assert "[FAIL]" in out and "E[correlation2]" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--trials", "0"), ("--trials", "-1"), ("--levels", "0"), ("--levels", "-2"), ("--dims", "0")],
+    )
+    def test_sizes_below_one_are_usage_errors(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at least 1, got {value}" in err
 
     def test_budget_overflow_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")

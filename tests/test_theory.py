@@ -202,7 +202,7 @@ class TestVarianceIdentity:
         v = u.complement()
         n = 300_000
 
-        gen = EstimatorKind.generalized()
+        gen = EstimatorKind("generalized")
         accs, _ = accumulate_terms(model, [gen], [u], n, RngSpec(101))
         term_var = accs[gen][u].variance()
         # SE of a sample variance from replicate spread
@@ -271,14 +271,14 @@ class TestEnumerateExpectation:
         model = DiscreteModel(np.random.default_rng(13).random((2, 2)))
         u = u_of([1], 2)
         for kind in (
-            EstimatorKind.correlation1(),
-            EstimatorKind.oracle1(),
-            EstimatorKind.oracle2(),
-            EstimatorKind.original(),
-            EstimatorKind.correlation2(),
-            EstimatorKind.upper(),
-            EstimatorKind.generalized(),
-            EstimatorKind.generalized(IndexSet.empty(2), u.complement()),
+            EstimatorKind("correlation1"),
+            EstimatorKind("oracle1"),
+            EstimatorKind("oracle2"),
+            EstimatorKind("original"),
+            EstimatorKind("correlation2"),
+            EstimatorKind("upper"),
+            EstimatorKind("generalized"),
+            EstimatorKind("generalized", v=IndexSet.empty(2), v2=u.complement()),
         ):
             want_mean, want_var = literal_enumeration(model, kind, u)
             got_mean, got_var = enumerate_expectation(model, kind, u)
@@ -291,30 +291,37 @@ class TestEnumerateExpectation:
         u = u_of([1], 2)
         for v in u.complement().subsets():
             for v2 in u.complement().subsets():
-                got, _ = enumerate_expectation(model, EstimatorKind.generalized(v, v2), u)
+                got, _ = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
                 assert got == pytest.approx(rep.lower_u[u], rel=1e-10)
 
     def test_upper_kind_matches_total_index(self):
         model = DiscreteModel(np.random.default_rng(22).random((3, 3)))
         rep = discrete_anova(model)
         u = u_of([1], 2)
-        got, _ = enumerate_expectation(model, EstimatorKind.upper(), u)
+        got, _ = enumerate_expectation(model, EstimatorKind("upper"), u)
         assert got == pytest.approx(rep.upper_u[u], rel=1e-10)
+
+    def test_counts_every_distinct_state_it_evaluates(self):
+        # the oracle evaluates through the sampler's value source: f(x) and
+        # f(y) on the m = 4 states each, the blend on all 16 joint states
+        model = DiscreteModel(np.random.default_rng(5).random((2, 2)))
+        enumerate_expectation(model, EstimatorKind("correlation1"), u_of([1], 2))
+        assert model.counter.count == 4 + 4 + 16
 
     def test_budget_refusal(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
         with pytest.raises(BudgetError, match="budget"):
-            enumerate_expectation(model, EstimatorKind.generalized(), u_of([1], 2), budget=100)
+            enumerate_expectation(model, EstimatorKind("generalized"), u_of([1], 2), budget=100)
         # default budget: fine for 3^2 grids, the generalized kind visits 9^4 states
-        enumerate_expectation(model, EstimatorKind.generalized(), u_of([1], 2), MAX_STATES)
+        enumerate_expectation(model, EstimatorKind("generalized"), u_of([1], 2), MAX_STATES)
 
     def test_rejects_overlapping_v(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
         u = u_of([1], 2)
         with pytest.raises(ValueError, match="disjoint"):
-            enumerate_expectation(model, EstimatorKind.generalized(u, None), u)
+            enumerate_expectation(model, EstimatorKind("generalized", v=u), u)
 
     def test_dimension_mismatch(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
         with pytest.raises(ValueError):
-            enumerate_expectation(model, EstimatorKind.correlation1(), u_of([1], 3))
+            enumerate_expectation(model, EstimatorKind("correlation1"), u_of([1], 3))
