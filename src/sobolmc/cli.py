@@ -74,6 +74,14 @@ def _parse_set(text: str, dim: int, what: str = "--u") -> IndexSet:
         raise UsageError(f"{what}: {exc}") from exc
 
 
+def _check_at_least(args, **bounds: int) -> None:
+    """Reject a given flag below its bound, naming the flag; None means not given."""
+    for flag, least in bounds.items():
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            raise UsageError(f"--{flag} must be at least {least}, got {value}")
+
+
 def _jsonable(value):
     if isinstance(value, float) and math.isnan(value):
         return None
@@ -106,6 +114,7 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    _check_at_least(args, seed=0, n=1)
     model = _load_model(args.model)
     u = _parse_set(args.u, model.dim)
     tag = TAG_OF_ALIAS[args.estimator]
@@ -192,8 +201,7 @@ def _cmd_anova(args) -> int:
 def _cmd_efficiency_table(args) -> int:
     if (args.benchmark is None) == (args.config is None):
         raise UsageError("pass exactly one of --benchmark or --config")
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    _check_at_least(args, threads=1, seed=0, n=2, replicates=1)
     # the study flags default to None, so a flag that a config would override is seen
     study = {"n": 1_000_000, "replicates": 10, "seed": 0, "center": None, "include_original": False}
     given = {key: getattr(args, key) for key in study if getattr(args, key) is not None}
@@ -223,9 +231,7 @@ def _cmd_efficiency_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    for flag in ("levels", "dims", "trials"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _check_at_least(args, levels=1, dims=1, trials=1, seed=0)
     ok = verify_suite(
         levels=args.levels,
         dims=args.dims,

@@ -88,25 +88,10 @@ class IndexSet:
             # next submask of self.bits above sub
             sub = (sub - self.bits) & self.bits
 
-    def union(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_dim(other)
-        return IndexSet(self.bits | other.bits, self.dim)
-
-    def intersection(self, other: "IndexSet") -> "IndexSet":
-        self._check_same_dim(other)
-        return IndexSet(self.bits & other.bits, self.dim)
-
     def isdisjoint(self, other: "IndexSet") -> bool:
-        self._check_same_dim(other)
-        return not self.bits & other.bits
-
-    def issubset(self, other: "IndexSet") -> bool:
-        self._check_same_dim(other)
-        return self.bits & other.bits == self.bits
-
-    def _check_same_dim(self, other: "IndexSet") -> None:
         if self.dim != other.dim:
             raise DimensionError(f"index sets on dimensions {self.dim} and {other.dim}")
+        return not self.bits & other.bits
 
     def __contains__(self, j: int) -> bool:
         return 1 <= j <= self.dim and bool(self.bits >> (j - 1) & 1)
@@ -190,7 +175,7 @@ class BlockSampler:
     Two samplers built from the same RngSpec produce identical sequences;
     consuming a role does not advance the other roles' streams, so e.g. an
     estimator that needs only (x, y) sees the same x and y values as one
-    that also consumes z.
+    that also consumes z.  A role's stream is opened on its first draw.
     """
 
     def __init__(self, spec: RngSpec, dim: int) -> None:
@@ -198,8 +183,10 @@ class BlockSampler:
             raise DimensionError(f"dimension must be in 1..{MAX_DIM}, got {dim}")
         self.spec = spec
         self.dim = dim
-        self._streams = {role: spec.stream(role) for role in ROLES}
+        self._streams: dict[str, np.random.Generator] = {}
 
     def draw_role(self, role: str, n: int) -> np.ndarray:
         """n points of shape (n, dim) from one role's stream."""
+        if role not in self._streams:
+            self._streams[role] = self.spec.stream(role)
         return self._streams[role].random((n, self.dim))

@@ -133,12 +133,6 @@ class Accumulator:
         self.mean = mean
         self.m2 = m2
 
-    @classmethod
-    def of(cls, values) -> "Accumulator":
-        acc = cls()
-        acc.add_batch(np.asarray(values, dtype=np.float64))
-        return acc
-
     def add_batch(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         k = values.size
@@ -168,6 +162,21 @@ class Accumulator:
 
     def __repr__(self) -> str:
         return f"Accumulator(n={self.n}, mean={self.mean}, m2={self.m2})"
+
+
+class OriginalMoments(NamedTuple):
+    """The running means an ``original`` estimate is formed from, for one set u."""
+
+    cross: Accumulator  # f(x) f(x_u#y_-u), the kind's per-sample term
+    fx: Accumulator  # f(x), shared by every set of the pass
+    fb: Accumulator  # f(x_u#y_-u)
+
+    def estimate(self) -> float:
+        """The cross moment less the squared mean of both pair members."""
+        if self.fx.n < 2:
+            raise ValueError("the original estimator needs n >= 2")
+        mu_hat = 0.5 * (self.fx.mean + self.fb.mean)
+        return self.cross.mean - mu_hat**2
 
 
 @dataclass(frozen=True)
@@ -311,25 +320,32 @@ def accumulate_terms(
     n: int,
     rng: RngSpec,
     batch_size: int = DEFAULT_BATCH,
-) -> tuple[dict[EstimatorKind, dict[IndexSet, Accumulator]], int]:
+) -> tuple[dict[EstimatorKind, dict[IndexSet, Accumulator | OriginalMoments]], int]:
     """Stream n per-sample terms of every kind for each set into accumulators.
 
     One pass shares each batch's draws and values among all kinds and sets;
     each accumulator equals a single-kind run's.  Returns them per kind and
-    set, with the count of distinct function evaluations.  Not defined for
-    the original kind, whose estimate is not a plain term mean.
+    set, with the count of distinct function evaluations.  An ``original``
+    entry is the ``OriginalMoments`` of its set: the cross-moment term plus
+    the means of f(x) and f(x_u#y_-u), read from the values the batch
+    already holds.
     """
-    if any(kind.tag == "original" for kind in kinds):
-        raise ValueError("the original estimator is not a plain term mean")
-
     centers = {kind: _resolve_center(model, kind) for kind in kinds}
     accs = {kind: {u: Accumulator() for u in us} for kind in kinds}
+    original = EstimatorKind("original")
+    fx, fb = Accumulator(), {u: Accumulator() for u in us}
     roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
     start = model.counter.count
     for ev in _batches(model, roles, us, n, rng, batch_size):
         for kind, per_set in accs.items():
             for u in us:
                 per_set[u].add_batch(_batch_terms(ev, kind, u, centers[kind]))
+        if original in accs:
+            fx.add_batch(ev.plain("x"))
+            for u in us:
+                fb[u].add_batch(ev.blended("x", "y", u))
+    if original in accs:
+        accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}
     return accs, model.counter.count - start
 
 
@@ -351,18 +367,19 @@ def run_multi_u(
     Results depend only on (seed, replicate, n, batch_size), never on
     thread scheduling; batch_size is the deterministic partition policy.
     """
-    if kind.tag == "original":
-        return _run_original_multi(model, us, n, rng, batch_size)
     accs, evals = accumulate_terms(model, [kind], us, n, rng, batch_size)
+    biased = kind.tag == "original"
+    sampled = n > 1 and not biased
     return [
         EstimateReport(
             kind=kind,
             u=u,
             n=n,
-            estimate=accs[kind][u].mean,
-            term_variance=accs[kind][u].variance() if n > 1 else None,
-            std_error=math.sqrt(accs[kind][u].variance() / n) if n > 1 else None,
+            estimate=accs[kind][u].estimate() if biased else accs[kind][u].mean,
+            term_variance=accs[kind][u].variance() if sampled else None,
+            std_error=math.sqrt(accs[kind][u].variance() / n) if sampled else None,
             evals=evals,
+            biased=biased,
         )
         for u in us
     ]
@@ -378,35 +395,3 @@ def run_estimator(
 ) -> EstimateReport:
     """Estimate lower_u (upper_u for the ``upper`` kind) from n samples."""
     return run_multi_u(model, kind, [u], n, rng, batch_size)[0]
-
-
-def _run_original_multi(model, us, n, rng, batch_size) -> list[EstimateReport]:
-    if n < 2:
-        raise ValueError("the original estimator needs n >= 2")
-    kind = EstimatorKind("original")
-    cross = {u: Accumulator() for u in us}
-    fb_mean = {u: Accumulator() for u in us}
-    fx_mean = Accumulator()
-    start = model.counter.count
-    for ev in _batches(model, KINDS["original"].roles, us, n, rng, batch_size):
-        fx_mean.add_batch(ev.plain("x"))
-        for u in us:
-            cross[u].add_batch(_batch_terms(ev, kind, u, None))
-            fb_mean[u].add_batch(ev.blended("x", "y", u))
-    evals = model.counter.count - start
-    reports = []
-    for u in us:
-        mu_hat = 0.5 * (fx_mean.mean + fb_mean[u].mean)
-        reports.append(
-            EstimateReport(
-                kind=kind,
-                u=u,
-                n=n,
-                estimate=cross[u].mean - mu_hat**2,
-                term_variance=None,
-                std_error=None,
-                evals=evals,
-                biased=True,
-            )
-        )
-    return reports

@@ -39,7 +39,6 @@ from .estimators import (
     Accumulator,
     EstimatorKind,
     accumulate_terms,
-    run_multi_u,
 )
 from .models import Model, analytic_anova, builtin_model, model_from_json
 
@@ -190,17 +189,10 @@ class EfficiencyTable:
 
 def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
     """One replicate: per-kind, per-set accumulators from one shared pass."""
-    local = model.clone()
     rng = RngSpec(config.seed, rep)
-    kinds = [EstimatorKind.of(tag, config.center) for tag in config.kinds if tag != "original"]
-    accs, _ = accumulate_terms(local, kinds, config.us, config.n, rng, config.batch_size)
-    out: dict[str, dict[IndexSet, Accumulator | float]] = {k.tag: accs[k] for k in kinds}
-    if "original" in config.kinds:
-        reports = run_multi_u(
-            local, EstimatorKind("original"), config.us, config.n, rng, config.batch_size
-        )
-        out["original"] = {r.u: r.estimate for r in reports}
-    return out
+    kinds = [EstimatorKind.of(tag, config.center) for tag in config.kinds]
+    accs, _ = accumulate_terms(model.clone(), kinds, config.us, config.n, rng, config.batch_size)
+    return {kind.tag: accs[kind] for kind in kinds}
 
 
 def _defined_efficiency(var_base: float, var_other: float | None, tag: str) -> float | None:
@@ -290,7 +282,7 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
 
         originals = None
         if "original" in config.kinds:
-            originals = float(np.mean([rep["original"][u] for rep in per_rep]))
+            originals = float(np.mean([rep["original"][u].estimate() for rep in per_rep]))
 
         rows.append(
             EfficiencyRow(

@@ -9,6 +9,11 @@ import pytest
 from sobolmc.cli import main
 
 
+#: a subcommand with its required flags, for the flag-bound checks
+ESTIMATE_G = ["estimate", "--model", "g", "--u", "1"]
+TABLE_G = ["efficiency-table", "--benchmark", "g"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -426,14 +431,28 @@ class TestVerify:
         assert "[FAIL]" in out and "E[correlation2]" in out
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--trials", "0"), ("--trials", "-1"), ("--levels", "0"), ("--levels", "-2"), ("--dims", "0")],
+        "argv, flag, value, least",
+        [
+            pytest.param(["verify"], "--trials", "0", 1, id="--trials-0"),
+            pytest.param(["verify"], "--trials", "-1", 1, id="--trials--1"),
+            pytest.param(["verify"], "--levels", "0", 1, id="--levels-0"),
+            pytest.param(["verify"], "--levels", "-2", 1, id="--levels--2"),
+            pytest.param(["verify"], "--dims", "0", 1, id="--dims-0"),
+            pytest.param(["verify"], "--seed", "-1", 0, id="verify--seed--1"),
+            pytest.param(ESTIMATE_G, "--seed", "-1", 0, id="estimate--seed--1"),
+            pytest.param(ESTIMATE_G, "--n", "0", 1, id="estimate--n-0"),
+            pytest.param(TABLE_G, "--seed", "-1", 0, id="efficiency-table--seed--1"),
+            pytest.param(TABLE_G, "--n", "1", 2, id="efficiency-table--n-1"),
+            pytest.param(TABLE_G, "--replicates", "0", 1, id="efficiency-table--replicates-0"),
+            pytest.param(TABLE_G, "--threads", "0", 1, id="efficiency-table--threads-0"),
+        ],
     )
-    def test_sizes_below_one_are_usage_errors(self, capsys, flag, value):
-        code, out, err = run_cli(capsys, "verify", flag, value)
+    def test_sizes_below_one_are_usage_errors(self, capsys, argv, flag, value, least):
+        # every bounded size and seed flag of every subcommand is named with its bound
+        code, out, err = run_cli(capsys, *argv, flag, value)
         assert code == 2
         assert out == ""
-        assert f"{flag} must be at least 1, got {value}" in err
+        assert f"{flag} must be at least {least}, got {value}" in err
 
     def test_budget_overflow_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")

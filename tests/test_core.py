@@ -61,7 +61,7 @@ class TestIndexSet:
         subs = list(u.subsets())
         assert len(subs) == 2 ** len(u)
         assert len(set(subs)) == len(subs)
-        assert all(v.issubset(u) for v in subs)
+        assert all(v.bits & u.bits == v.bits for v in subs)
         # increasing bitmask order makes the smallest-mask tie-break natural
         assert [v.bits for v in subs] == sorted(v.bits for v in subs)
 
@@ -69,11 +69,14 @@ class TestIndexSet:
     def test_set_algebra(self, u, v):
         if u.dim != v.dim:
             with pytest.raises(DimensionError):
-                u.union(v)
+                u.isdisjoint(v)
             return
-        w = u.union(v)
+        w = IndexSet(u.bits | v.bits, u.dim)
         assert set(w.members()) == set(u.members()) | set(v.members())
-        assert u.intersection(v).isdisjoint(u.complement().intersection(v.complement()))
+        both = IndexSet(u.bits & v.bits, u.dim)
+        neither = IndexSet(u.complement().bits & v.complement().bits, u.dim)
+        assert both.isdisjoint(neither)
+        assert u.isdisjoint(v) == (both == IndexSet.empty(u.dim))
 
 
 class TestBlend:
@@ -152,6 +155,26 @@ class TestStreams:
         assert xs.min() >= 0.0 and xs.max() < 1.0
         # 1e6 coordinates: CLT bound 3 * (1/sqrt(12)) / 1e3 < 0.002
         assert abs(xs.mean() - 0.5) < 0.002
+
+    def test_streams_open_on_first_draw(self, monkeypatch):
+        eager = {role: RngSpec(8, 2).stream(role).random((6, 3)) for role in "xy"}
+        opened = []
+        real_stream = RngSpec.stream
+
+        def counting_stream(spec, role):
+            opened.append(role)
+            return real_stream(spec, role)
+
+        monkeypatch.setattr(RngSpec, "stream", counting_stream)
+        sampler = BlockSampler(RngSpec(8, 2), 3)
+        assert opened == []
+        got = {role: np.concatenate([sampler.draw_role(role, 2), sampler.draw_role(role, 4)])
+               for role in "xy"}
+        assert opened == ["x", "y"]
+        for role in "xy":
+            assert got[role].tobytes() == eager[role].tobytes()
+        with pytest.raises(ValueError, match="'q'"):
+            sampler.draw_role("q", 1)
 
     def test_rejects_bad_role_and_seed(self):
         with pytest.raises(ValueError):

@@ -36,6 +36,13 @@ def constant_model(dim, value=2.0):
     return DiscreteModel(np.full((2,) * dim, value))
 
 
+def filled(values) -> Accumulator:
+    """An accumulator holding values, added as one batch."""
+    acc = Accumulator()
+    acc.add_batch(values)
+    return acc
+
+
 class _Shifted(Model):
     """f - c wrapper used for the shift-equivariance checks."""
 
@@ -209,7 +216,7 @@ class TestShiftEquivariance:
 class TestAccumulator:
     def test_matches_numpy(self):
         values = np.random.default_rng(0).normal(3.0, 2.0, 1000)
-        acc = Accumulator.of(values)
+        acc = filled(values)
         assert acc.mean == pytest.approx(values.mean(), rel=1e-12)
         assert acc.variance() == pytest.approx(values.var(ddof=1), rel=1e-12)
 
@@ -220,10 +227,10 @@ class TestAccumulator:
     )
     @settings(max_examples=60)
     def test_merge_matches_concatenation(self, a, b, c):
-        merged = Accumulator.of(a)
-        merged.merge(Accumulator.of(b))
-        merged.merge(Accumulator.of(c))
-        flat = Accumulator.of(np.concatenate([a, b, c]))
+        merged = filled(a)
+        merged.merge(filled(b))
+        merged.merge(filled(c))
+        flat = filled(np.concatenate([a, b, c]))
         assert merged.n == flat.n
         assert merged.mean == pytest.approx(flat.mean, rel=1e-9, abs=1e-9)
         assert merged.m2 == pytest.approx(flat.m2, rel=1e-9, abs=1e-6)
@@ -234,19 +241,19 @@ class TestAccumulator:
     )
     @settings(max_examples=60)
     def test_merge_commutes(self, a, b):
-        ab = Accumulator.of(a)
-        ab.merge(Accumulator.of(b))
-        ba = Accumulator.of(b)
-        ba.merge(Accumulator.of(a))
+        ab = filled(a)
+        ab.merge(filled(b))
+        ba = filled(b)
+        ba.merge(filled(a))
         assert ab.mean == pytest.approx(ba.mean, rel=1e-9, abs=1e-9)
         assert ab.m2 == pytest.approx(ba.m2, rel=1e-9, abs=1e-6)
 
     def test_empty_merge(self):
-        acc = Accumulator.of([1.0, 2.0])
+        acc = filled([1.0, 2.0])
         acc.merge(Accumulator())
         assert acc.n == 2
         with pytest.raises(ValueError):
-            Accumulator.of([1.0]).variance()
+            filled([1.0]).variance()
 
 
 class TestRunEstimator:
@@ -327,7 +334,7 @@ class TestRunEstimator:
         manual = (f.evaluate(x) - f.evaluate(blend(z, x, u))) * (
             f.evaluate(blend(x, y, u)) - f.evaluate(y)
         )
-        acc = Accumulator.of(manual)
+        acc = filled(manual)
         assert report.estimate == acc.mean
         assert report.term_variance == acc.variance()
         assert report.std_error == math.sqrt(acc.variance() / n)
@@ -455,13 +462,15 @@ def sampled_models(draw):
 class TestSharedPass:
     @pytest.mark.parametrize("name, per_sample", [("product6", 20), ("g", 14)])
     def test_study_kinds_cost_the_shared_design(self, name, per_sample):
-        # f(x), f(y), f(x_u#y_-u) and f(z_u#x_-u) once each: 2 + 2 * |sets|
-        model = builtin_model(name)
-        us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
-        kinds = [EstimatorKind.of(tag) for tag in COMPARED_KINDS]
-        n = 1000
-        _, evals = accumulate_terms(model, kinds, us, n, RngSpec(5), batch_size=300)
-        assert evals == per_sample * n == model.counter.count
+        # f(x), f(y), f(x_u#y_-u) and f(z_u#x_-u) once each: 2 + 2 * |sets|;
+        # original reads f(x) and f(x_u#y_-u) from the same values
+        for tags in (COMPARED_KINDS, COMPARED_KINDS + ("original",)):
+            model = builtin_model(name)
+            us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
+            kinds = [EstimatorKind.of(tag) for tag in tags]
+            n = 1000
+            _, evals = accumulate_terms(model, kinds, us, n, RngSpec(5), batch_size=300)
+            assert evals == per_sample * n == model.counter.count, tags
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -474,7 +483,7 @@ class TestSharedPass:
         bits = data.draw(st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=3))
         us = [IndexSet(b, d) for b in sorted({0, 2**d - 1, *bits})]  # empty and full too
         center = data.draw(st.one_of(st.none(), st.floats(-3.0, 3.0)))
-        kinds = [EstimatorKind.of(tag, center) for tag in KINDS if tag != "original"]
+        kinds = [EstimatorKind.of(tag, center) for tag in KINDS]
         rng = RngSpec(data.draw(st.integers(0, 2**16)), data.draw(st.integers(0, 3)))
 
         shared, _ = accumulate_terms(model.clone(), kinds, us, n, rng, batch_size)
@@ -482,7 +491,34 @@ class TestSharedPass:
             single, _ = accumulate_terms(model.clone(), [kind], us, n, rng, batch_size)
             for u in us:
                 a, b = shared[kind][u], single[kind][u]
-                assert (a.n, a.mean, a.m2) == (b.n, b.mean, b.m2), (kind.tag, u)
+                # original keeps its cross term and the means of f(x) and f(x_u#y_-u)
+                pairs = zip(a, b) if kind.tag == "original" else [(a, b)]
+                for x, y in pairs:
+                    assert (x.n, x.mean, x.m2) == (y.n, y.mean, y.m2), (kind.tag, u)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sampled_means_match_the_exact_oracle(self, data):
+        # every kind's term mean from one shared pass lies within 5 SE of the
+        # enumerated expectation; original's cross moment is mu^2 + lower_u
+        d = data.draw(st.integers(1, 3))
+        levels = data.draw(st.integers(2, 3))
+        table = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(levels,) * d)
+        model = DiscreteModel(table)
+        bits = data.draw(st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=3, unique=True))
+        us = [IndexSet(b, d) for b in bits]
+        kinds = [EstimatorKind.of(tag) for tag in KINDS]
+        n = 4000
+        accs, _ = accumulate_terms(model, kinds, us, n, RngSpec(data.draw(st.integers(0, 2**16))))
+        anova = discrete_anova(model)
+        for kind in kinds:
+            for u in us:
+                if kind.tag == "original":
+                    acc, exact = accs[kind][u].cross, anova.mu**2 + anova.lower_u[u]
+                else:
+                    acc, exact = accs[kind][u], enumerate_expectation(model, kind, u)[0]
+                se = math.sqrt(acc.variance() / n)
+                assert abs(acc.mean - exact) <= 5 * se + 1e-9 * max(1.0, abs(exact)), (kind.tag, u)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
