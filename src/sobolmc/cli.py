@@ -250,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_common(p: argparse.ArgumentParser, fmt: str = "json") -> None:
+        p.add_argument("--format", choices=("json", "csv"), default=fmt)
         p.add_argument("--out", default=None, help="write output to this path")
 
     p_est = sub.add_parser("estimate", help="run one estimator for one target set")
     add_common(p_est)
+    p_est.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
     p_est.add_argument("--model", required=True, help="builtin alias (g, product6) or JSON file")
     p_est.add_argument("--u", required=True, help='target coordinates, e.g. "1,3"')
     p_est.add_argument(
@@ -269,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=_cmd_estimate)
 
     p_anova = sub.add_parser("anova", help="exact mean, variance, and Sobol' indices")
-    add_common(p_anova)
+    add_common(p_anova)  # exact: no streams, so no --seed
     p_anova.add_argument("--model", required=True)
     p_anova.add_argument("--u", default=None, help="restrict to one set")
     p_anova.set_defaults(func=_cmd_anova)
 
     p_eff = sub.add_parser("efficiency-table", help="replicated efficiency benchmark")
-    add_common(p_eff)
-    p_eff.set_defaults(format="csv", seed=None)
+    add_common(p_eff, "csv")
+    p_eff.add_argument("--seed", type=int, default=None, help="stream seed (default 0)")
     p_eff.add_argument("--benchmark", choices=sorted(BUILTIN_STUDIES), default=None)
     p_eff.add_argument("--config", default=None, help="experiment config JSON file")
     p_eff.add_argument("--n", type=int, default=None, help="samples (default 1e6)")

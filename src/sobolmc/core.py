@@ -2,9 +2,9 @@
 
 Coordinates are numbered 1..d (d <= 63 so a subset fits in one machine
 word).  Points live in the half-open cube [0, 1)^d and are plain float64
-numpy arrays whose last axis has length d; everything here broadcasts over
-leading axes, so a single point of shape (d,) and a batch of shape (n, d)
-go through the same code path.
+numpy arrays whose last axis has length d; ``blend`` broadcasts over
+leading axes, so a point (d,) and a batch (n, d) take the same path, and
+``pick_rows`` blends the coordinate-major feature rows of a model.
 """
 
 from __future__ import annotations
@@ -120,6 +120,11 @@ def blend(x: np.ndarray, y: np.ndarray, u: IndexSet) -> np.ndarray:
             f"{x.shape[-1]} and {y.shape[-1]}"
         )
     return np.where(u.mask(), x, y)
+
+
+def pick_rows(a: Sequence, b: Sequence, u: IndexSet) -> list:
+    """Coordinate-major ``blend``: row j of a for j in u, of b otherwise; copies nothing."""
+    return [a[j] if u.bits >> j & 1 else b[j] for j in range(u.dim)]
 
 
 class EvalCounter:

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ROLES, BlockSampler, DimensionError, IndexSet, RngSpec
+from .core import ROLES, BlockSampler, DimensionError, IndexSet, RngSpec, pick_rows
 from .models import Model
 
 DEFAULT_BATCH = 32768
@@ -90,10 +90,6 @@ class EstimatorKind:
                 raise ValueError("oracle center must be finite")
         if (self.v is not None or self.v2 is not None) and self.tag != "generalized":
             raise ValueError(f"{self.tag} takes no blending sets v/v2")
-
-    @property
-    def cost(self) -> int:
-        return KINDS[self.tag].cost
 
     @classmethod
     def of(
@@ -208,11 +204,12 @@ class _BatchEvals:
     """Caches the function values of one sample batch by blend signature.
 
     Each role's points are featurized as they arrive (``points`` may be
-    lazy pairs) and a blend is evaluated from blended features.  A full
-    blend is the plain left point, an empty one the plain right point;
-    each distinct signature is evaluated once and counted once per point.
+    lazy pairs) into d coordinate-major rows, and a blend is evaluated
+    from rows picked by the set, so nothing is copied.  A full blend is
+    the plain left point, an empty one the plain right point; each
+    distinct signature is evaluated once and counted once per point.
     The exact oracle passes grid midpoints with each role on its own axis,
-    so the values broadcast to every joint grid state and a count is the
+    so the rows broadcast to every joint grid state and a count is the
     number of distinct states evaluated.
     """
 
@@ -222,11 +219,11 @@ class _BatchEvals:
         self.features = {role: model.features(x) for role, x in pairs}
         self._cache: dict[tuple, np.ndarray] = {}
 
-    def _value(self, key: tuple, features: Callable[[], np.ndarray]) -> np.ndarray:
+    def _value(self, key: tuple, rows: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
         if key not in self._cache:
-            feats = features()
-            self.model.counter.add(feats[..., 0].size)
-            self._cache[key] = self.model._values(feats)
+            picked = rows()
+            self.model.counter.add(math.prod(np.broadcast_shapes(*(r.shape for r in picked))))
+            self._cache[key] = self.model._values(picked)
         return self._cache[key]
 
     def plain(self, role: str) -> np.ndarray:
@@ -239,7 +236,7 @@ class _BatchEvals:
             return self.plain(role_b)
         return self._value(
             (role_a, role_b, u.bits),
-            lambda: np.where(u.mask(), self.features[role_a], self.features[role_b]),
+            lambda: pick_rows(self.features[role_a], self.features[role_b], u),
         )
 
 

@@ -111,6 +111,10 @@ class ExperimentConfig:
             raise ValueError("need n >= 2 samples per replicate")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.seed < 0:
+            raise ValueError(f"'seed' must be nonnegative, got {self.seed}")
+        if not self.us:
+            raise ValueError("'us' needs at least one target set")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         w = self.workers

@@ -137,11 +137,11 @@ class Model:
         self.counter = EvalCounter()
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """Features (..., d) of points, feature j from x_j alone: blends commute with them."""
-        return x
+        """Features (d, ...) of points (..., d), row j from x_j alone, so a blend picks rows."""
+        return np.moveaxis(x, -1, 0)
 
-    def _values(self, features: np.ndarray) -> np.ndarray:
-        """f from the features of points."""
+    def _values(self, rows: Sequence[np.ndarray]) -> np.ndarray:
+        """f from the d feature rows of points; the rows broadcast together."""
         raise NotImplementedError
 
     def evaluate(self, x) -> float | np.ndarray:
@@ -168,7 +168,26 @@ class Model:
         return other
 
 
-class ProductModel(Model):
+class _FactorProduct(Model):
+    """f(x) = prod_j h_j(x_j); a subclass gives the factor h_j as ``_factor(j, x_j)``."""
+
+    def features(self, x: np.ndarray) -> np.ndarray:
+        """The factor values h_j(x_j), shape (d, ...)."""
+        h = np.empty((self.dim,) + x.shape[:-1])
+        for j in range(self.dim):
+            h[j] = self._factor(j, x[..., j])
+        return h
+
+    def _values(self, h: Sequence[np.ndarray]) -> np.ndarray:
+        # left to right, j = 1..d, as np.prod(axis=-1) multiplies; each step
+        # allocates, because a row may be a view of cached features
+        out = h[0]
+        for row in h[1:]:
+            out = out * row
+        return out
+
+
+class ProductModel(_FactorProduct):
     """f(x) = prod_j (mu_j + tau_j g_j(x_j)) with standardized shapes g_j."""
 
     def __init__(self, mu: Sequence[float], tau: Sequence[float], kinds="uniform"):
@@ -192,21 +211,14 @@ class ProductModel(Model):
         self.tau = tau
         self.kinds = tuple(resolved)
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """The factor values h_j(x_j) = mu_j + tau_j g_j(x_j), shape (..., d)."""
-        h = np.empty_like(x)
-        for j, kind in enumerate(self.kinds):
-            h[..., j] = self.mu[j] + self.tau[j] * kind.g(x[..., j])
-        return h
-
-    def _values(self, h: np.ndarray) -> np.ndarray:
-        return np.prod(h, axis=-1)
+    def _factor(self, j: int, xj: np.ndarray) -> np.ndarray:
+        return self.mu[j] + self.tau[j] * self.kinds[j].g(xj)
 
     def mean(self) -> float:
         return float(np.prod(self.mu))
 
 
-class GFunction(Model):
+class GFunction(_FactorProduct):
     """f(x) = prod_j (|4 x_j - 2| + 2 + 3 a_j) / (1 + a_j), a_j >= 0."""
 
     def __init__(self, a: Sequence[float]):
@@ -218,12 +230,8 @@ class GFunction(Model):
         super().__init__(a.shape[0])
         self.a = a
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """The factor values (|4 x_j - 2| + 2 + 3 a_j) / (1 + a_j)."""
-        return (np.abs(4.0 * x - 2.0) + 2.0 + 3.0 * self.a) / (1.0 + self.a)
-
-    def _values(self, h: np.ndarray) -> np.ndarray:
-        return np.prod(h, axis=-1)
+    def _factor(self, j: int, xj: np.ndarray) -> np.ndarray:
+        return (np.abs(4.0 * xj - 2.0) + 2.0 + 3.0 * self.a[j]) / (1.0 + self.a[j])
 
     def mean(self) -> float:
         # each factor has mean (1 + 2 + 3a)/(1+a) = 3
@@ -258,13 +266,17 @@ class DiscreteModel(Model):
         self.table = table
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        """The cell indices floor(x_j L)."""
-        return np.floor(x * self.levels).astype(np.int64)
+        """The cell indices floor(x_j L), shape (d, ...), of points in [0, 1)^d."""
+        idx = np.floor(super().features(x) * self.levels).astype(np.int64, order="C")
+        if np.any((idx < 0) | (idx >= self.levels)):
+            raise ValueError("a discrete model takes points in [0, 1)^d only")
+        return idx
 
-    def _values(self, idx: np.ndarray) -> np.ndarray:
-        flat = np.ravel_multi_index(
-            tuple(idx[..., j] for j in range(self.dim)), self.table.shape
-        )
+    def _values(self, idx: Sequence[np.ndarray]) -> np.ndarray:
+        # the C-order flat cell index by Horner's rule over the rows j = 1..d
+        flat = idx[0]
+        for row in idx[1:]:
+            flat = flat * self.levels + row
         return self.table.reshape(-1)[flat]
 
     def mean(self) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexSet
+from .core import IndexSet, pick_rows
 from .estimators import KINDS, EstimatorKind, _BatchEvals, _batch_terms, _resolve_center
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
@@ -69,10 +69,9 @@ def q_v(model: ProductModel, x, z, v: IndexSet):
     """
     hx = model.features(np.asarray(x, dtype=np.float64))
     hz = model.features(np.asarray(z, dtype=np.float64))
-    m = v.mask()
-    t1 = np.prod(hx**2, axis=-1)
-    t2 = np.prod(np.where(m, hx**2, hz**2), axis=-1)
-    t3 = np.prod(np.where(m, hx**2, hx * hz), axis=-1)
+    t1 = model._values(hx**2)
+    t2 = model._values(pick_rows(hx**2, hz**2, v))
+    t3 = model._values(pick_rows(hx**2, hx * hz, v))
     return t1 + t2 - 2.0 * t3
 
 
@@ -87,11 +86,9 @@ def q_uv(model: ProductModel, x, y, w, u: IndexSet, v2: IndexSet):
     hx = model.features(np.asarray(x, dtype=np.float64))
     hy = model.features(np.asarray(y, dtype=np.float64))
     hw = model.features(np.asarray(w, dtype=np.float64))
-    mu_ = u.mask()
-    mv2 = v2.mask()
-    a2 = np.prod(np.where(mu_, hx**2, hy**2), axis=-1)
-    b2 = np.prod(np.where(mv2, hy**2, hw**2), axis=-1)
-    cross = np.prod(np.where(mu_, hx * hw, np.where(mv2, hy**2, hy * hw)), axis=-1)
+    a2 = model._values(pick_rows(hx**2, hy**2, u))
+    b2 = model._values(pick_rows(hy**2, hw**2, v2))
+    cross = model._values(pick_rows(hx * hw, pick_rows(hy**2, hy * hw, v2), u))
     return a2 + b2 - 2.0 * cross
 
 
@@ -197,7 +194,8 @@ def enumerate_expectation(
         )
 
     # role k reads the cell midpoints of all m states along its own axis k,
-    # so every feature blend and table lookup broadcasts to the joint grid
+    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend
+    # and table lookup broadcasts to the joint grid
     cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
     mids = (cells + 0.5) / model.levels
     ev = _BatchEvals(model, [

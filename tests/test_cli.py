@@ -173,6 +173,13 @@ class TestAnova:
         assert code == 0 and out == ""
         assert len(json.loads(target.read_text())) == 7
 
+    def test_takes_no_seed(self, capsys):
+        # the ANOVA is exact, so a seed would be a flag with no effect
+        with pytest.raises(SystemExit) as exc:
+            main(["anova", "--model", "g", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_zero_total_variance_gives_undefined_lower_rel(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
         path.write_text(json.dumps({"kind": "product", "mu": [1, 1], "tau": [0, 0]}))
@@ -248,6 +255,7 @@ class TestEfficiencyTable:
             ("center", "abc"), ("workers", "2"), ("workers", 0),
             ("n", 20.9), ("n", "abc"), ("replicates", True), ("seed", 1.0),
             ("batch_size", "7"), ("us", 5), ("us", [[1.0]]), ("kinds", "corr1"),
+            ("seed", -1), ("us", []),
         ],
     )
     def test_config_value_types_are_usage_errors(self, tmp_path, capsys, key, value):
@@ -256,6 +264,7 @@ class TestEfficiencyTable:
         cfg.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
         assert code == 2
+        assert err.startswith(f"error: bad experiment config {cfg}:")
         assert f"'{key}'" in err
 
     def test_config_rejects_the_flags_it_overrides(self, tmp_path, capsys):
@@ -400,8 +409,8 @@ class TestVerify:
     @pytest.mark.parametrize("part", ["term", "blend", "axes"])
     def test_corrupted_estimator_fails(self, capsys, monkeypatch, part):
         # negative controls: break the sampler's correlation2 term, swap the
-        # operands of its feature blend, or read the table axes in reverse,
-        # and the exact suite must notice
+        # operands of its feature blend, or read the coordinate-major index
+        # rows in reverse, and the exact suite must notice
         from sobolmc import estimators, models, theory
         from sobolmc.verification import verify_suite
 
@@ -423,7 +432,7 @@ class TestVerify:
         else:
             real_values = models.DiscreteModel._values
             monkeypatch.setattr(
-                models.DiscreteModel, "_values", lambda self, idx: real_values(self, idx[..., ::-1])
+                models.DiscreteModel, "_values", lambda self, idx: real_values(self, idx[::-1])
             )
         assert verify_suite(levels=3, dims=2, trials=1, log=None) is False
         code, out, _ = run_cli(capsys, "verify", "--trials", "1")

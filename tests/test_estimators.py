@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobolmc import experiments
 from sobolmc.core import ROLES, BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
     KINDS,
@@ -15,7 +16,7 @@ from sobolmc.estimators import (
     run_estimator,
     run_multi_u,
 )
-from sobolmc.experiments import BUILTIN_STUDIES, COMPARED_KINDS
+from sobolmc.experiments import BUILTIN_STUDIES, COMPARED_KINDS, ExperimentConfig, csv_text
 from sobolmc.models import (
     DiscreteModel,
     GFunction,
@@ -278,7 +279,7 @@ class TestRunEstimator:
             sets += [u_of([i, j], d) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
             for u in sets:
                 report = run_estimator(model, kind, u, n, RngSpec(0))
-                assert report.evals == n * kind.cost, (type(model).__name__, u)
+                assert report.evals == n * KINDS[kind.tag].cost, (type(model).__name__, u)
 
     def test_multi_u_shares_plain_evaluations(self):
         model = builtin_model("g")
@@ -520,6 +521,46 @@ class TestSharedPass:
                 se = math.sqrt(acc.variance() / n)
                 assert abs(acc.mean - exact) <= 5 * se + 1e-9 * max(1.0, abs(exact)), (kind.tag, u)
 
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_study_runner_matches_the_exact_oracle(self, data):
+        # the replicate runner on 1 and 2 workers: the same CSV bytes, and
+        # every pooled term mean within 5 SE of the enumerated expectation
+        d = data.draw(st.integers(1, 3))
+        levels = data.draw(st.integers(2, 3))
+        table = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(levels,) * d)
+        model = DiscreteModel(table)
+        bits = data.draw(st.lists(st.integers(1, 2**d - 1), min_size=1, max_size=3, unique=True))
+        us = tuple(IndexSet(b, d) for b in bits)
+        n, replicates, seed = 3000, 3, data.draw(st.integers(0, 2**16))
+        kinds = COMPARED_KINDS + ("original",)
+        anova = discrete_anova(model)
+        exact = {
+            (tag, u): anova.mu**2 + anova.lower_u[u] if tag == "original"
+            else enumerate_expectation(model, EstimatorKind(tag), u)[0]
+            for tag in kinds for u in us
+        }
+        real_pass = experiments._replicate_pass
+        csvs = []
+        for workers in (1, 2):
+            per_rep = {}
+
+            def spy(model, config, rep):
+                per_rep[rep] = real_pass(model, config, rep)
+                return per_rep[rep]
+
+            config = ExperimentConfig(model, us, n, replicates, seed, kinds=kinds, workers=workers)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiments, "_replicate_pass", spy)
+                csvs.append(csv_text(experiments.run_efficiency_experiment(config)))
+            for (tag, u), want in exact.items():
+                accs = [per_rep[rep][tag][u] for rep in range(replicates)]
+                # original's per-replicate entry keeps its cross moment in .cross
+                pooled = experiments._pool([a.cross if tag == "original" else a for a in accs])
+                se = math.sqrt(pooled.variance() / pooled.n)
+                assert abs(pooled.mean - want) <= 5 * se + 1e-9 * max(1.0, abs(want)), (workers, tag, u)
+        assert csvs[0] == csvs[1]
+
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_batch_values_are_pointwise_evaluations(self, data):
@@ -548,3 +589,42 @@ class TestSharedPass:
             signature = (role_a,) if b == 2**d - 1 else (role_b,) if b == 0 else (role_a, role_b, b)
             assert model.counter.count - before == (0 if signature in seen else size)
             seen.add(signature)
+
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_row_products_match_numpy_prod(self, d):
+        # independent of _values: numpy's product along the point axis, on
+        # point-major copies in both memory orders, bit for bit
+        gen = np.random.default_rng(d)
+        rows = gen.uniform(-3.0, 3.0, size=(d, 257))
+        for model in (ProductModel(np.ones(d), np.ones(d)), GFunction(np.zeros(d))):
+            for want in (np.prod(rows.T, axis=-1), np.prod(np.ascontiguousarray(rows.T), axis=-1)):
+                assert model._values(rows).tobytes() == want.tobytes()
+                assert model._values(list(rows)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    @pytest.mark.parametrize("levels", range(2, 5))
+    def test_horner_index_matches_ravel_multi_index(self, d, levels):
+        # a table holding its own flat index returns the Horner index itself
+        model = DiscreteModel(np.arange(levels**d, dtype=np.float64).reshape((levels,) * d))
+        idx = np.random.default_rng(10 * d + levels).integers(0, levels, size=(d, 200))
+        want = np.ravel_multi_index(tuple(idx), (levels,) * d)
+        assert np.array_equal(model._values(idx), want)
+        assert np.array_equal(model._values(list(idx)), want)
+
+    @pytest.mark.parametrize("family", ["product", "g", "discrete"])
+    def test_blends_never_write_to_feature_rows(self, family):
+        # a blend's rows are views of each role's cached features
+        d = 4
+        model = {
+            "product": ProductModel([1.0, 0.5, 2.0, 1.5], [1.0, 0.3, 0.7, 0.2], "tent"),
+            "g": GFunction([0.0, 1.0, 4.0, 9.0]),
+            "discrete": random_discrete(3, levels=3, dims=d),
+        }[family]
+        gen = np.random.default_rng(7)
+        ev = _BatchEvals(model, {"x": gen.random((50, d)), "y": gen.random((50, d))})
+        before = {role: f.copy() for role, f in ev.features.items()}
+        for bits in range(2**d):
+            ev.blended("x", "y", IndexSet(bits, d))
+            ev.blended("y", "x", IndexSet(bits, d))
+        for role, f in ev.features.items():
+            assert f.tobytes() == before[role].tobytes(), role

@@ -267,6 +267,15 @@ class TestDiscreteAnova:
         assert model.evaluate([0.4, 0.1]) == table[1, 0]
         assert model.evaluate([0.99, 0.99]) == table[2, 2]
 
+    @pytest.mark.parametrize("point", [[0.4, 1.0], [1.0, 0.1], [-0.1, 0.1], [0.4, -1e-9]])
+    def test_points_outside_the_cube_are_rejected(self, point):
+        # the flat cell index of (1, 3) would be 6, a valid but wrong cell
+        model = DiscreteModel(np.arange(9.0).reshape(3, 3))
+        with pytest.raises(ValueError, match=r"\[0, 1\)\^d"):
+            model.evaluate(point)
+        with pytest.raises(ValueError, match=r"\[0, 1\)\^d"):
+            model.evaluate([[0.4, 0.1], point])
+
     def test_budget_cap(self):
         with pytest.raises(BudgetError):
             DiscreteModel(np.zeros(16).reshape(4, 4), max_cells=8)
