@@ -25,23 +25,18 @@ from .estimators import TAG_OF_ALIAS, EstimatorKind, run_estimator
 from .experiments import (
     BUILTIN_STUDIES,
     builtin_config,
+    builtin_note,
     config_from_json,
     csv_text,
-    product6_ratio_note,
     run_efficiency_experiment,
 )
 from .models import (
     BUILTIN_MODELS,
     BudgetError,
-    DiscreteModel,
-    GFunction,
     Model,
-    ProductModel,
     analytic_anova,
     builtin_model,
-    g_as_product,
     model_from_json,
-    product_set_indices,
 )
 from .theory import MAX_STATES
 from .verification import verify_suite
@@ -104,11 +99,9 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
         )
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        keys = list(records[0].keys())
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow(["" if rec[k] is None else rec[k] for k in keys])
+        writer = csv.DictWriter(buf, list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)  # None is written as an empty field
         text = buf.getvalue().rstrip("\n")
     _write(text, out)
 
@@ -145,56 +138,35 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _anova_records(model: Model, model_name: str, only: IndexSet | None) -> list[dict]:
-    if isinstance(model, (ProductModel, GFunction)):
-        prod = g_as_product(model) if isinstance(model, GFunction) else model
-        mu = model.mean()
-        # lower index of the full set is the total variance
-        sigma2 = product_set_indices(prod, IndexSet.full(model.dim))[1]
-        sigma2_of = lambda u: product_set_indices(prod, u)  # noqa: E731
-    elif isinstance(model, DiscreteModel):
-        report = analytic_anova(model)
-        mu = report.mu
-        sigma2 = report.sigma2
-        sigma2_of = lambda u: (report.sigma2_u[u], report.lower_u[u], report.upper_u[u])  # noqa: E731
-    else:  # pragma: no cover - builtin families are exhaustive
-        raise UsageError(f"no exact ANOVA for {type(model).__name__}")
-
-    note_for = product6_ratio_note if model_name == "product6" else (lambda _u: "")
-    sets: list[IndexSet]
-    if only is not None:
-        sets = [only]
+def _cmd_anova(args) -> int:
+    model = _load_model(args.model)
+    if args.u is not None:
+        sets = [_parse_set(args.u, model.dim)]
+    elif model.dim > MAX_ANOVA_LISTING_DIM:
+        raise UsageError(
+            f"full listing limited to d <= {MAX_ANOVA_LISTING_DIM}; pass --u for one set"
+        )
     else:
-        if model.dim > MAX_ANOVA_LISTING_DIM:
-            raise UsageError(
-                f"full listing limited to d <= {MAX_ANOVA_LISTING_DIM}; pass --u for one set"
-            )
         sets = sorted(
             (u for u in IndexSet.full(model.dim).subsets() if len(u) > 0),
             key=lambda u: (len(u), u.bits),
         )
-    records = []
-    for u in sets:
-        s2u, lower, upper = sigma2_of(u)
-        records.append(
-            {
-                "u": str(u),
-                "mu": mu,
-                "sigma2": sigma2,
-                "sigma2_u": s2u,
-                "lower": lower,
-                "upper": upper,
-                "lower_rel": lower / sigma2 if sigma2 != 0.0 else None,
-                "note": note_for(u),
-            }
-        )
-    return records
-
-
-def _cmd_anova(args) -> int:
-    model = _load_model(args.model)
-    only = _parse_set(args.u, model.dim) if args.u is not None else None
-    _emit(_anova_records(model, args.model, only), args.format, args.out)
+    report = analytic_anova(model, sets)
+    sigma2 = report.sigma2
+    records = [
+        {
+            "u": str(u),
+            "mu": report.mu,
+            "sigma2": sigma2,
+            "sigma2_u": report.sigma2_u[u],
+            "lower": report.lower_u[u],
+            "upper": report.upper_u[u],
+            "lower_rel": report.lower_u[u] / sigma2 if sigma2 != 0.0 else None,
+            "note": builtin_note(args.model, u),
+        }
+        for u in sets
+    ]
+    _emit(records, args.format, args.out)
     return 0
 
 
@@ -202,11 +174,11 @@ def _cmd_efficiency_table(args) -> int:
     if (args.benchmark is None) == (args.config is None):
         raise UsageError("pass exactly one of --benchmark or --config")
     _check_at_least(args, threads=1, seed=0, n=2, replicates=1)
-    # the study flags default to None, so a flag that a config would override is seen
-    study = {"n": 1_000_000, "replicates": 10, "seed": 0, "center": None, "include_original": False}
+    # the study flags default to None, so a given one is seen; builtin_config has the defaults
+    study = ("n", "replicates", "seed", "center", "include_original")
     given = {key: getattr(args, key) for key in study if getattr(args, key) is not None}
     if args.benchmark is not None:
-        config = builtin_config(args.benchmark, workers=args.threads, **(study | given))
+        config = builtin_config(args.benchmark, workers=args.threads, **given)
     else:
         if given:
             flags = ", ".join("--" + key.replace("_", "-") for key in given)

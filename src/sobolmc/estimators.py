@@ -150,11 +150,11 @@ class Accumulator:
         self.m2 += m22 + delta * delta * self.n * n2 / n
         self.n = n
 
-    def variance(self, ddof: int = 1) -> float:
+    def variance(self) -> float:
         """Sample variance of the accumulated terms (n-1 divisor)."""
-        if self.n <= ddof:
-            raise ValueError(f"need more than {ddof} values, have {self.n}")
-        return self.m2 / (self.n - ddof)
+        if self.n < 2:
+            raise ValueError(f"need at least 2 values, have {self.n}")
+        return self.m2 / (self.n - 1)
 
     def __repr__(self) -> str:
         return f"Accumulator(n={self.n}, mean={self.mean}, m2={self.m2})"

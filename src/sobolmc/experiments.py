@@ -52,19 +52,17 @@ BUILTIN_STUDIES = {
     "product6": ([1], [2], [3], [4], [5], [6], [1, 2], [3, 4], [5, 6]),
 }
 
-#: pair rows of the product6 study whose widely circulated relative-index
-#: values disagree with the product variance identity
+#: rows of the builtin models, by builtin name, whose widely circulated
+#: relative-index values disagree with the product variance identity
 #: sigma2_u = prod_{j in u} tau_j^2 * prod_{j not in u} mu_j^2
-PRODUCT6_DISPUTED_RATIOS = {
-    (1, 2): 0.826,
-    (3, 4): 0.176,
-    (5, 6): 0.042,
+DISPUTED_RATIOS = {
+    "product6": {(1, 2): 0.826, (3, 4): 0.176, (5, 6): 0.042},
 }
 
 
-def product6_ratio_note(u: IndexSet) -> str:
-    """Discrepancy flag for the disputed pair rows, empty otherwise."""
-    cited = PRODUCT6_DISPUTED_RATIOS.get(u.members())
+def builtin_note(name: str, u: IndexSet) -> str:
+    """The note on row u of builtin model ``name``: a disputed-ratio flag, or empty."""
+    cited = DISPUTED_RATIOS.get(name, {}).get(u.members())
     if cited is None:
         return ""
     return (
@@ -175,12 +173,6 @@ class EfficiencyTable:
     replicates: int
     seed: int
 
-    def row(self, u: IndexSet) -> EfficiencyRow:
-        for r in self.rows:
-            if r.u == u:
-                return r
-        raise KeyError(f"no row for {u}")
-
     def as_dict(self) -> dict:
         return {
             "model": self.model_name,
@@ -249,7 +241,7 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
     results are independent of scheduling.
     """
     model = config.model
-    anova = analytic_anova(model)
+    anova = analytic_anova(model, config.us)
     workers = resolve_workers(config.workers)
     run_pass = partial(_replicate_pass, model, config)
     # one worker runs inline: a one-thread pool raises product6 peak RSS by ~12%
@@ -310,55 +302,34 @@ def builtin_config(
     name: str,
     n: int = 1_000_000,
     replicates: int = 10,
-    seed: int = 1,
+    seed: int = 0,
     center: float | None = None,
     workers: int | None = None,
     include_original: bool = False,
 ) -> ExperimentConfig:
     """The builtin study on model ``name`` (a key of ``BUILTIN_STUDIES``).
 
-    The product6 pair rows carry the disputed-ratio note.  The oracle
-    center defaults to the exact mean; pass e.g. 26.8 on g to study an
-    imperfect oracle.
+    Its keyword defaults, seed 0 included, are the only study defaults.
+    ``center`` None is the exact mean (pass e.g. 26.8 on g to study an
+    imperfect oracle); ``workers`` None defers to ``resolve_workers``.
     """
-    config = config_from_json(
+    return config_from_json(
         {
             "model": name, "us": BUILTIN_STUDIES[name], "n": n, "replicates": replicates,
             "seed": seed, "center": center, "workers": workers,
             "include_original": include_original,
         }
     )
-    if name == "product6":
-        config.notes = {u: product6_ratio_note(u) for u in config.us}
-    return config
 
 
-def g_function_study(
-    n: int = 1_000_000,
-    replicates: int = 10,
-    seed: int = 1,
-    center: float | None = None,
-    workers: int | None = None,
-    include_original: bool = False,
-) -> EfficiencyTable:
-    """Efficiency benchmark on the d=3 g-function, a = (19, 9, 4), mean 27."""
-    return run_efficiency_experiment(
-        builtin_config("g", n, replicates, seed, center, workers, include_original)
-    )
+def g_function_study(**study) -> EfficiencyTable:
+    """Efficiency study on the d=3 g-function, a = (19, 9, 4); keywords as ``builtin_config``."""
+    return run_efficiency_experiment(builtin_config("g", **study))
 
 
-def product6_study(
-    n: int = 1_000_000,
-    replicates: int = 10,
-    seed: int = 1,
-    center: float | None = None,
-    workers: int | None = None,
-    include_original: bool = False,
-) -> EfficiencyTable:
-    """Efficiency benchmark on the d=6 product model, mean 1."""
-    return run_efficiency_experiment(
-        builtin_config("product6", n, replicates, seed, center, workers, include_original)
-    )
+def product6_study(**study) -> EfficiencyTable:
+    """Efficiency study on the d=6 product model, mean 1; keywords as ``builtin_config``."""
+    return run_efficiency_experiment(builtin_config("product6", **study))
 
 
 def _render(value) -> str:
@@ -390,7 +361,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     ``model`` is a builtin alias or a nested model document; ``us`` is a
     list of coordinate lists; ``center`` is a number or "mean";
     ``workers`` is an integer >= 1 or null.  Without ``kinds``,
-    ``include_original`` appends "original" to the compared kinds.
+    ``include_original`` appends "original" to the compared kinds.  A
+    builtin alias brings its rows' ``builtin_note`` notes.
     """
     if not isinstance(obj, dict):
         raise ValueError("experiment configuration must be a JSON object")
@@ -420,9 +392,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         kinds = COMPARED_KINDS + (("original",) if obj.get("include_original") else ())
     elif not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
         raise ValueError(f"'kinds' must be a list of strings, got {kinds!r}")
+    sets = tuple(IndexSet.from_indices(ix, model.dim) for ix in us)
     return ExperimentConfig(
         model=model,
-        us=tuple(IndexSet.from_indices(ix, model.dim) for ix in us),
+        us=sets,
         n=int(obj["n"]),
         replicates=int(obj["replicates"]),
         seed=int(obj["seed"]),
@@ -430,4 +403,5 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         kinds=tuple(TAG_OF_ALIAS.get(k, k) for k in kinds),
         batch_size=int(obj.get("batch_size", DEFAULT_BATCH)),
         workers=obj.get("workers"),
+        notes={u: builtin_note(spec, u) for u in sets} if isinstance(spec, str) else {},
     )

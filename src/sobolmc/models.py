@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core import MAX_DIM, DimensionError, EvalCounter, IndexSet
 _SQRT12 = math.sqrt(12.0)
 _SQRT3 = math.sqrt(3.0)
 
-#: default cap on discrete-grid cells (L^d) for table construction / ANOVA
+#: cap on discrete-grid cells (L^d), checked when a table is built
 DEFAULT_MAX_CELLS = 10_000_000
 
 
@@ -111,11 +111,11 @@ def check_factor_kind(kind: FactorKind, tol: float = 1e-10) -> None:
 
 @dataclass
 class AnovaReport:
-    """Exact ANOVA summary: mean, total variance, per-subset variances.
+    """Exact ANOVA summary: mean, total variance, per-set variances.
 
-    ``sigma2_u`` maps each subset to its effect variance, ``lower_u`` to
-    the closed (lower) Sobol' index and ``upper_u`` to the total (upper)
-    index.  All three cover every subset of {1..d}.
+    ``sigma2_u`` maps each requested set to its effect variance,
+    ``lower_u`` to the closed (lower) Sobol' index and ``upper_u`` to the
+    total (upper) index; by default every subset of {1..d} is requested.
     """
 
     mu: float
@@ -246,7 +246,7 @@ class DiscreteModel(Model):
     equal-weight distribution over grid states exactly.
     """
 
-    def __init__(self, table, levels: int | None = None, max_cells: int = DEFAULT_MAX_CELLS):
+    def __init__(self, table, levels: int | None = None):
         table = np.asarray(table, dtype=np.float64)
         if levels is not None and table.ndim == 1:
             d = round(math.log(table.size) / math.log(levels)) if table.size > 1 else 1
@@ -257,8 +257,8 @@ class DiscreteModel(Model):
             table = table.reshape((levels,) * d)
         if table.ndim < 1 or len(set(table.shape)) != 1:
             raise DimensionError("table must be an L^d hypercube")
-        if table.size > max_cells:
-            raise BudgetError(f"table of {table.size} cells exceeds cap {max_cells}")
+        if table.size > DEFAULT_MAX_CELLS:
+            raise BudgetError(f"table of {table.size} cells exceeds cap {DEFAULT_MAX_CELLS}")
         if not np.all(np.isfinite(table)):
             raise ValueError("table entries must be finite")
         super().__init__(table.ndim)
@@ -307,13 +307,13 @@ def factor_raw_moments(model: ProductModel, j: int) -> tuple[float, float, float
     return m1, m2, m3, m4
 
 
-def product_anova(model: ProductModel) -> AnovaReport:
-    """Closed-form ANOVA of a product model, ``product_set_indices`` on every set."""
+def product_anova(model: ProductModel, us: Iterable[IndexSet] | None = None) -> AnovaReport:
+    """Closed-form ANOVA, ``product_set_indices`` on each set of ``us`` (None: every subset)."""
     full = IndexSet.full(model.dim)
-    table = {u: product_set_indices(model, u) for u in full.subsets()}
+    table = {u: product_set_indices(model, u) for u in (full.subsets() if us is None else us)}
     return AnovaReport(
-        float(np.prod(model.mu)),
-        table[full][1],  # the lower index of the full set is the total variance
+        model.mean(),
+        product_set_indices(model, full)[1],  # the full set's lower index is the total variance
         {u: t[0] for u, t in table.items()},
         {u: t[1] for u, t in table.items()},
         {u: t[2] for u, t in table.items()},
@@ -347,16 +347,14 @@ def g_as_product(g: GFunction) -> ProductModel:
     return ProductModel(mu, tau, "tent")
 
 
-def discrete_anova(model: DiscreteModel, max_cells: int = DEFAULT_MAX_CELLS) -> AnovaReport:
+def discrete_anova(model: DiscreteModel, us: Iterable[IndexSet] | None = None) -> AnovaReport:
     """Exact ANOVA of a tabulated model by subset inclusion-exclusion.
 
     Conditional means over each coordinate subset are finite averages of
     the table; effects are obtained by the Moebius recursion
     f_u = M_u - sum_{v strictly inside u} f_v and their variances are grid
-    averages of f_u^2.
+    averages of f_u^2.  The report keeps the sets ``us`` (None: every subset).
     """
-    if model.table.size > max_cells:
-        raise BudgetError(f"table of {model.table.size} cells exceeds cap {max_cells}")
     d = model.dim
     full = IndexSet.full(d)
     axes_all = tuple(range(d))
@@ -376,21 +374,27 @@ def discrete_anova(model: DiscreteModel, max_cells: int = DEFAULT_MAX_CELLS) -> 
     mu = float(effects[IndexSet.empty(d)].reshape(()))
     sigma2 = float(((model.table - mu) ** 2).mean())
 
-    lower_u = {
-        u: math.fsum(sigma2_u[v] for v in u.subsets()) for u in sigma2_u
-    }
-    upper_u = {u: sigma2 - lower_u[u.complement()] for u in sigma2_u}
-    return AnovaReport(mu, sigma2, sigma2_u, lower_u, upper_u)
+    sets = list(sigma2_u) if us is None else list(us)
+    lower_u = {u: math.fsum(sigma2_u[v] for v in u.subsets()) for u in sigma2_u}
+    upper_u = {u: sigma2 - lower_u[u.complement()] for u in sets}
+    return AnovaReport(
+        mu, sigma2, {u: sigma2_u[u] for u in sets}, {u: lower_u[u] for u in sets}, upper_u
+    )
 
 
-def analytic_anova(model: Model) -> AnovaReport:
-    """Exact ANOVA for any of the builtin model families."""
+def analytic_anova(model: Model, us: Iterable[IndexSet] | None = None) -> AnovaReport:
+    """Exact ANOVA of a builtin model family on the sets ``us`` (None: every subset).
+
+    Product forms, the g-function through ``g_as_product``, compute each
+    requested set alone and take ``mu`` from ``model.mean()``; a discrete
+    table is decomposed whole.
+    """
     if isinstance(model, ProductModel):
-        return product_anova(model)
+        return product_anova(model, us)
     if isinstance(model, GFunction):
-        return product_anova(g_as_product(model))
+        return replace(product_anova(g_as_product(model), us), mu=model.mean())
     if isinstance(model, DiscreteModel):
-        return discrete_anova(model)
+        return discrete_anova(model, us)
     raise TypeError(f"no exact ANOVA available for {type(model).__name__}")
 
 

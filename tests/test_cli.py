@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from sobolmc.cli import main
+from sobolmc.experiments import BUILTIN_STUDIES
 
 
 #: a subcommand with its required flags, for the flag-bound checks
@@ -203,6 +204,15 @@ class TestAnova:
         assert json.loads(out)[0]["u"] == "{1,13}"
 
 
+    def test_mean_of_a_large_g_function_is_exact(self, tmp_path, capsys):
+        # 3.0**34 and a left-to-right product of 34 threes differ by an ulp
+        path = tmp_path / "g34.json"
+        path.write_text(json.dumps({"kind": "g-function", "a": [1.0] * 34}))
+        code, out, _ = run_cli(capsys, "anova", "--model", str(path), "--u", "1")
+        assert code == 0
+        assert json.loads(out)[0]["mu"] == 3.0**34
+
+
 class TestEfficiencyTable:
     def test_benchmark_csv(self, capsys):
         code, out, err = run_cli(
@@ -321,20 +331,21 @@ class TestEfficiencyTable:
         assert code == 0
         assert [r["rel_index"] for r in json.loads(out)["rows"]] == [None, None]
 
-    def test_benchmark_equals_its_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("name, fmt", [("g", "csv"), ("g", "json"), ("product6", "json")])
+    def test_benchmark_equals_its_config(self, tmp_path, capsys, name, fmt):
+        # a builtin alias in a config brings the same rows, values and notes
         cfg = tmp_path / "exp.json"
-        sets = [[1], [2], [3], [1, 2], [1, 3], [2, 3]]
-        doc = {"model": "g", "us": sets, "n": 3000, "replicates": 2, "seed": 4}
+        doc = {"model": name, "us": BUILTIN_STUDIES[name], "n": 3000, "replicates": 2, "seed": 4}
         cfg.write_text(json.dumps(doc))
-        code, from_config, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg))
-        assert code == 0
-        code, from_benchmark, _ = run_cli(
+        from_config = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--format", fmt)
+        from_benchmark = run_cli(
             capsys,
-            "efficiency-table", "--benchmark", "g",
+            "efficiency-table", "--benchmark", name, "--format", fmt,
             "--n", "3000", "--replicates", "2", "--seed", "4",
         )
-        assert code == 0
         assert from_benchmark == from_config
+        assert from_config[0] == 0
+        assert ("# note {1,2}" in from_config[2]) == (name == "product6")
 
     def test_io_error_names_path(self, capsys):
         code, _, err = run_cli(
@@ -467,6 +478,22 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")
         assert code == 2
         assert "budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--model", "g", "--u", "1", "--n", "100"],
+        ["anova", "--model", "product6"],
+        ["efficiency-table", "--benchmark", "g", "--n", "100", "--replicates", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_lines_end_in_a_bare_newline(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert "\r" not in out
+    assert len(out.splitlines()) > 1
 
 
 def test_console_script_wiring():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sobolmc import models
 from sobolmc.cli import main
 from sobolmc.core import IndexSet
 from sobolmc.experiments import (
@@ -15,11 +16,12 @@ from sobolmc.experiments import (
     CSV_HEADER,
     EfficiencyTable,
     ExperimentConfig,
+    builtin_config,
+    builtin_note,
     config_from_json,
     csv_text,
     efficiency,
     g_function_study,
-    product6_ratio_note,
     product6_study,
     run_efficiency_experiment,
 )
@@ -104,8 +106,9 @@ class TestStudies:
                 assert "disagrees" in row.note
             else:
                 assert row.note == ""
-        assert product6_ratio_note(u_of([1, 2], 6)) != ""
-        assert product6_ratio_note(u_of([1], 6)) == ""
+        assert builtin_note("product6", u_of([1, 2], 6)) != ""
+        assert builtin_note("product6", u_of([1], 6)) == ""
+        assert builtin_note("g", u_of([1, 2], 3)) == ""
 
     def test_thread_workers_change_nothing(self):
         serial = g_function_study(n=8_000, replicates=3, seed=2, workers=1)
@@ -158,6 +161,36 @@ class TestCsv:
 
 
 class TestConfigJson:
+    def test_only_requested_sets_are_computed(self, monkeypatch):
+        calls = []
+        original = models.product_set_indices
+
+        def counted(model, u):
+            calls.append(u)
+            return original(model, u)
+
+        monkeypatch.setattr(models, "product_set_indices", counted)
+        doc = {
+            "model": {"kind": "product", "mu": [1.0] * 12, "tau": [0.5] * 12},
+            "us": [[1], [2, 12]], "n": 200, "replicates": 1, "seed": 3,
+        }
+        table = run_efficiency_experiment(config_from_json(doc))
+        assert len(table.rows) == 2
+        assert len(calls) == 3  # the two sets and the full set's total variance
+
+    def test_builtin_alias_brings_its_notes(self):
+        doc = {"model": "product6", "us": [[1], [5, 6]], "n": 100, "replicates": 1, "seed": 0}
+        notes = config_from_json(doc).notes
+        assert notes[u_of([1], 6)] == ""
+        assert "disagrees" in notes[u_of([5, 6], 6)]
+        doc["model"] = {"kind": "product", "mu": [1.0] * 6, "tau": [1, 1, 0.5, 0.5, 0.25, 0.25]}
+        assert not any(config_from_json(doc).notes.values())
+
+    def test_builtin_config_holds_the_study_defaults(self):
+        cfg = builtin_config("g")
+        assert (cfg.n, cfg.replicates, cfg.seed) == (1_000_000, 10, 0)
+        assert (cfg.center, cfg.workers, cfg.kinds) == (None, None, COMPARED_KINDS)
+
     def test_roundtrip(self):
         doc = {
             "model": "product6",

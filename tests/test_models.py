@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sobolmc import models
 from sobolmc.core import DimensionError, IndexSet
 from sobolmc.models import (
     BudgetError,
@@ -14,6 +15,7 @@ from sobolmc.models import (
     ProductModel,
     TENT,
     UNIFORM,
+    analytic_anova,
     builtin_model,
     check_factor_kind,
     discrete_anova,
@@ -276,12 +278,40 @@ class TestDiscreteAnova:
         with pytest.raises(ValueError, match=r"\[0, 1\)\^d"):
             model.evaluate([[0.4, 0.1], point])
 
-    def test_budget_cap(self):
-        with pytest.raises(BudgetError):
-            DiscreteModel(np.zeros(16).reshape(4, 4), max_cells=8)
-        model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
-        with pytest.raises(BudgetError):
-            discrete_anova(model, max_cells=4)
+    def test_budget_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "DEFAULT_MAX_CELLS", 8)
+        with pytest.raises(BudgetError, match="cap 8"):
+            DiscreteModel(np.zeros(16).reshape(4, 4))
+        DiscreteModel(np.zeros(4).reshape(2, 2))
+
+
+class TestAnalyticAnova:
+    FAMILIES = {
+        "product": ProductModel([1.0, 2.0, 0.5, 1.5], [0.5, 1.0, 0.25, 0.0], "tent"),
+        "g": GFunction([0.0, 1.0, 4.5, 99.0]),
+        "discrete": DiscreteModel(np.random.default_rng(4).random((3,) * 4)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_requested_sets_match_the_full_report(self, family):
+        model = self.FAMILIES[family]
+        us = [IndexSet.from_indices(ix, 4) for ix in ([2], [1, 4], [1, 2, 3, 4])]
+        full = analytic_anova(model)
+        some = analytic_anova(model, us)
+        assert (some.mu, some.sigma2) == (full.mu, full.sigma2)
+        for part in ("sigma2_u", "lower_u", "upper_u"):
+            assert list(getattr(some, part)) == us
+            assert getattr(some, part) == {u: getattr(full, part)[u] for u in us}
+        assert len(full.lower_u) == 2**4
+
+    def test_g_mean_is_the_model_mean(self):
+        # 3.0**34 and a left-to-right product of 34 threes differ by an ulp
+        model = GFunction(np.zeros(34))
+        assert analytic_anova(model, [IndexSet.from_indices([1], 34)]).mu == 3.0**34
+
+    def test_unknown_family_has_no_exact_anova(self):
+        with pytest.raises(TypeError):
+            analytic_anova(models.Model(2))
 
 
 class TestFactorRawMoments:
