@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -69,12 +70,16 @@ def _parse_set(text: str, dim: int, what: str = "--u") -> IndexSet:
         raise UsageError(f"{what}: {exc}") from exc
 
 
-def _check_at_least(args, **bounds: int) -> None:
-    """Reject a given flag below its bound, naming the flag; None means not given."""
+def _check_flags(args, *finite: str, **bounds: int) -> None:
+    """Reject a given flag that is not finite or below its bound, naming it; None is not given."""
+    for flag in finite:
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag} must be finite, got {value}")
     for flag, least in bounds.items():
         value = getattr(args, flag)
         if value is not None and value < least:
-            raise UsageError(f"--{flag} must be at least {least}, got {value}")
+            raise UsageError(f"--{flag.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _jsonable(value):
@@ -107,7 +112,7 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 
 
 def _cmd_estimate(args) -> int:
-    _check_at_least(args, seed=0, n=1)
+    _check_flags(args, "center", seed=0, n=1)
     model = _load_model(args.model)
     u = _parse_set(args.u, model.dim)
     tag = TAG_OF_ALIAS[args.estimator]
@@ -173,7 +178,7 @@ def _cmd_anova(args) -> int:
 def _cmd_efficiency_table(args) -> int:
     if (args.benchmark is None) == (args.config is None):
         raise UsageError("pass exactly one of --benchmark or --config")
-    _check_at_least(args, threads=1, seed=0, n=2, replicates=1)
+    _check_flags(args, "center", threads=1, seed=0, n=2, replicates=1)
     # the study flags default to None, so a given one is seen; builtin_config has the defaults
     study = ("n", "replicates", "seed", "center", "include_original")
     given = {key: getattr(args, key) for key in study if getattr(args, key) is not None}
@@ -203,7 +208,7 @@ def _cmd_efficiency_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_at_least(args, levels=1, dims=1, trials=1, seed=0)
+    _check_flags(args, levels=1, dims=1, trials=1, seed=0, max_states=1)
     ok = verify_suite(
         levels=args.levels,
         dims=args.dims,
@@ -248,11 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eff = sub.add_parser("efficiency-table", help="replicated efficiency benchmark")
     add_common(p_eff, "csv")
-    p_eff.add_argument("--seed", type=int, default=None, help="stream seed (default 0)")
+    defaults = {k: p.default for k, p in inspect.signature(builtin_config).parameters.items()}
+    p_eff.add_argument("--seed", type=int, default=None, help=f"stream seed (default {defaults['seed']})")
     p_eff.add_argument("--benchmark", choices=sorted(BUILTIN_STUDIES), default=None)
     p_eff.add_argument("--config", default=None, help="experiment config JSON file")
-    p_eff.add_argument("--n", type=int, default=None, help="samples (default 1e6)")
-    p_eff.add_argument("--replicates", type=int, default=None, help="replicates (default 10)")
+    p_eff.add_argument("--n", type=int, default=None, help=f"samples (default {defaults['n']})")
+    p_eff.add_argument("--replicates", type=int, default=None, help=f"replicates (default {defaults['replicates']})")
     p_eff.add_argument("--center", type=float, default=None)
     p_eff.add_argument("--include-original", action="store_true", default=None)
     p_eff.add_argument("--threads", type=int, default=None, help="replicate workers (or SOBOL_THREADS)")

@@ -385,8 +385,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     center = obj.get("center")
     if center == "mean":
         center = None
-    elif center is not None and (isinstance(center, bool) or not isinstance(center, Real)):
-        raise ValueError(f"'center' must be a number or \"mean\", got {center!r}")
+    elif center is not None and (
+        isinstance(center, bool) or not isinstance(center, Real) or not math.isfinite(center)
+    ):
+        raise ValueError(f"'center' must be a finite number or \"mean\", got {center!r}")
     kinds = obj.get("kinds")
     if kinds is None:
         kinds = COMPARED_KINDS + (("original",) if obj.get("include_original") else ())

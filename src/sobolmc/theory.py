@@ -21,11 +21,11 @@ every coordinate outside v (e.g. constant factors, or mu_j = tau_j
 factors with symmetric shapes) and is a monotone surrogate otherwise.
 
 ``enumerate_expectation`` is the brute-force oracle: for tabulated models
-it computes the exact mean and variance of the sampler's own per-sample
-term over all joint grid states of the 2-4 input vectors.  It feeds the
-cell midpoints of every state to the sampler's ``_BatchEvals``, one role
-per grid axis, so the feature blends, table lookups and ``_batch_terms``
-it checks are the code that samples.
+it computes the exact mean of the sampler's own per-sample term over all
+joint grid states of the 2-4 input vectors.  It feeds the cell midpoints
+of every state to the sampler's ``_BatchEvals``, one role per grid axis,
+so the feature blends, table lookups and ``_batch_terms`` it checks are
+the code that samples.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def enumerate_expectation(
     kind: EstimatorKind,
     u: IndexSet,
     budget: int = MAX_STATES,
-) -> tuple[float, float]:
-    """Exact mean and variance of a per-sample term over all grid states.
+) -> float:
+    """Exact mean of a per-sample term over all grid states.
 
     Sums the term over every joint state of the input vectors the kind
     consumes (m^2 .. m^4 states for m = levels^dim), which is the
@@ -203,7 +203,4 @@ def enumerate_expectation(
         for k, role in enumerate(roles)
     ])
     t = _batch_terms(ev, kind, u, _resolve_center(model, kind))
-    t = np.broadcast_to(t, (m,) * n_roles)
-    mean = _stable_mean(t)
-    var = _stable_mean((t - mean) ** 2)
-    return mean, var
+    return _stable_mean(np.broadcast_to(t, (m,) * n_roles))

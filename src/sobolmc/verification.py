@@ -96,10 +96,10 @@ def _check_enumerations(
             (EstimatorKind("upper"), upper),
         ]
         for kind, want in plain_kinds:
-            got, _ = enumerate_expectation(model, kind, u, budget)
+            got = enumerate_expectation(model, kind, u, budget)
             ledger.check(_rel_err(got, want) < REL_TOL, f"trial {trial}: E[{kind.tag}] at u={u}")
 
-        got, _ = enumerate_expectation(model, EstimatorKind("original"), u, budget)
+        got = enumerate_expectation(model, EstimatorKind("original"), u, budget)
         ledger.check(
             _rel_err(got, mu**2 + lower) < REL_TOL,
             f"trial {trial}: E[original cross moment] at u={u}",
@@ -108,9 +108,8 @@ def _check_enumerations(
         comp = u.complement()
         for v in comp.subsets():
             for v2 in comp.subsets():
-                got, _ = enumerate_expectation(
-                    model, EstimatorKind("generalized", v=v, v2=v2), u, budget
-                )
+                kind = EstimatorKind("generalized", v=v, v2=v2)
+                got = enumerate_expectation(model, kind, u, budget)
                 ledger.check(
                     _rel_err(got, lower) < REL_TOL,
                     f"trial {trial}: E[generalized v={v} v2={v2}] at u={u}",

@@ -63,13 +63,13 @@ def test_criterion_1_exact_identities():
                 (EstimatorKind("oracle2", center=mu), lower),
                 (EstimatorKind("upper"), upper),
             ]:
-                got, _ = enumerate_expectation(model, kind, u)
+                got = enumerate_expectation(model, kind, u)
                 assert abs(got - want) <= REL_TOL * abs(want), (kind.tag, str(u), trial)
                 checked += 1
             comp = u.complement()
             for v in comp.subsets():
                 for v2 in comp.subsets():
-                    got, _ = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
+                    got = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
                     assert abs(got - lower) <= REL_TOL * abs(lower), (str(v), str(v2), str(u))
                     checked += 1
     elapsed = time.perf_counter() - started

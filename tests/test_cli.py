@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from sobolmc.cli import main
-from sobolmc.experiments import BUILTIN_STUDIES
+from sobolmc.experiments import BUILTIN_STUDIES, builtin_config
 
 
 #: a subcommand with its required flags, for the flag-bound checks
@@ -277,6 +278,28 @@ class TestEfficiencyTable:
         assert err.startswith(f"error: bad experiment config {cfg}:")
         assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_config_center_must_be_finite(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(
+            '{"model": "g", "us": [[1]], "n": 100, "replicates": 1, "seed": 0, "center": %s}' % text
+        )
+        code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 2 and out == ""
+        value = float(text.replace("Infinity", "inf"))
+        assert err == (
+            f"error: bad experiment config {cfg}: "
+            f"'center' must be a finite number or \"mean\", got {value!r}\n"
+        )
+
+    def test_help_shows_the_builtin_config_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["efficiency-table", "--help"])
+        out = capsys.readouterr().out
+        params = inspect.signature(builtin_config).parameters
+        for key in ("n", "replicates", "seed"):
+            assert f"(default {params[key].default})" in out
+
     def test_config_rejects_the_flags_it_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"model": "g", "us": [[1]], "n": 200, "replicates": 2, "seed": 0}))
@@ -459,6 +482,8 @@ class TestVerify:
             pytest.param(["verify"], "--levels", "-2", 1, id="--levels--2"),
             pytest.param(["verify"], "--dims", "0", 1, id="--dims-0"),
             pytest.param(["verify"], "--seed", "-1", 0, id="verify--seed--1"),
+            pytest.param(["verify"], "--max-states", "0", 1, id="--max-states-0"),
+            pytest.param(["verify"], "--max-states", "-5", 1, id="--max-states--5"),
             pytest.param(ESTIMATE_G, "--seed", "-1", 0, id="estimate--seed--1"),
             pytest.param(ESTIMATE_G, "--n", "0", 1, id="estimate--n-0"),
             pytest.param(TABLE_G, "--seed", "-1", 0, id="efficiency-table--seed--1"),
@@ -478,6 +503,21 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")
         assert code == 2
         assert "budget" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(ESTIMATE_G + ["--estimator", "orcl1"], id="estimate-orcl1"),
+        pytest.param(ESTIMATE_G + ["--estimator", "orcl2"], id="estimate-orcl2"),
+        pytest.param(TABLE_G, id="efficiency-table"),
+    ],
+)
+def test_center_must_be_finite(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, f"--center={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: --center must be finite, got {float(value)}\n"
 
 
 @pytest.mark.parametrize(

@@ -111,7 +111,7 @@ class TestTermExamples:
         assert np.array_equal(got, want)
         # and its enumerated mean is mu^2 + lower_u
         rep = discrete_anova(m)
-        e, _ = enumerate_expectation(m, EstimatorKind("oracle2", center=0.0), u)
+        e = enumerate_expectation(m, EstimatorKind("oracle2", center=0.0), u)
         assert e == pytest.approx(rep.mu**2 + rep.lower_u[u], rel=1e-12)
 
     def test_generalized_collapses_to_correlation2(self):
@@ -172,14 +172,14 @@ class TestEnumeratedExpectations:
                 (EstimatorKind("upper"), rep.upper_u[u]),
                 (EstimatorKind("generalized"), rep.lower_u[u]),
             ]:
-                got, _ = enumerate_expectation(model, kind, u)
+                got = enumerate_expectation(model, kind, u)
                 assert got == pytest.approx(want, rel=1e-10), (kind.tag, str(u))
 
     def test_original_cross_moment(self):
         model = random_discrete(5)
         rep = discrete_anova(model)
         u = u_of([2], 2)
-        got, _ = enumerate_expectation(model, EstimatorKind("original"), u)
+        got = enumerate_expectation(model, EstimatorKind("original"), u)
         assert got == pytest.approx(rep.mu**2 + rep.lower_u[u], rel=1e-10)
 
 
@@ -203,8 +203,8 @@ class TestShiftEquivariance:
         model = random_discrete(6)
         shifted = DiscreteModel(model.table - 0.7)
         u = u_of([1], 2)
-        e0, _ = enumerate_expectation(model, EstimatorKind("correlation1"), u)
-        e1, _ = enumerate_expectation(shifted, EstimatorKind("correlation1"), u)
+        e0 = enumerate_expectation(model, EstimatorKind("correlation1"), u)
+        e1 = enumerate_expectation(shifted, EstimatorKind("correlation1"), u)
         assert e0 == pytest.approx(e1, rel=1e-10, abs=1e-14)
         # but not per-sample: the single-sample terms differ
         rng = np.random.default_rng(1)
@@ -517,7 +517,7 @@ class TestSharedPass:
                 if kind.tag == "original":
                     acc, exact = accs[kind][u].cross, anova.mu**2 + anova.lower_u[u]
                 else:
-                    acc, exact = accs[kind][u], enumerate_expectation(model, kind, u)[0]
+                    acc, exact = accs[kind][u], enumerate_expectation(model, kind, u)
                 se = math.sqrt(acc.variance() / n)
                 assert abs(acc.mean - exact) <= 5 * se + 1e-9 * max(1.0, abs(exact)), (kind.tag, u)
 
@@ -537,7 +537,7 @@ class TestSharedPass:
         anova = discrete_anova(model)
         exact = {
             (tag, u): anova.mu**2 + anova.lower_u[u] if tag == "original"
-            else enumerate_expectation(model, EstimatorKind(tag), u)[0]
+            else enumerate_expectation(model, EstimatorKind(tag), u)
             for tag in kinds for u in us
         }
         real_pass = experiments._replicate_pass

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,9 +262,7 @@ def literal_enumeration(model, kind, u):
             terms.append((f[x] - f[bl(x, z, v)]) * (f[bl(x, y, u)] - f[bl(y, w, v2)]))
     else:
         raise NotImplementedError(kind.tag)
-    mean = math.fsum(terms) / len(terms)
-    var = math.fsum((t - mean) ** 2 for t in terms) / len(terms)
-    return mean, var
+    return math.fsum(terms) / len(terms)
 
 
 class TestEnumerateExpectation:
@@ -280,10 +279,9 @@ class TestEnumerateExpectation:
             EstimatorKind("generalized"),
             EstimatorKind("generalized", v=IndexSet.empty(2), v2=u.complement()),
         ):
-            want_mean, want_var = literal_enumeration(model, kind, u)
-            got_mean, got_var = enumerate_expectation(model, kind, u)
-            assert got_mean == pytest.approx(want_mean, rel=1e-12, abs=1e-15)
-            assert got_var == pytest.approx(want_var, rel=1e-12, abs=1e-15)
+            want = literal_enumeration(model, kind, u)
+            got = enumerate_expectation(model, kind, u)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_generalized_unbiased_for_all_pairs(self):
         model = DiscreteModel(np.random.default_rng(21).random((3, 3)))
@@ -291,14 +289,29 @@ class TestEnumerateExpectation:
         u = u_of([1], 2)
         for v in u.complement().subsets():
             for v2 in u.complement().subsets():
-                got, _ = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
+                got = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
                 assert got == pytest.approx(rep.lower_u[u], rel=1e-10)
+
+    def test_generalized_peak_memory_is_one_term_array(self):
+        # the mean reads the one m^4 term array; a second full-grid temporary,
+        # such as the squared deviations of a term variance, doubles the peak
+        model = DiscreteModel(np.random.default_rng(31).random((3, 3, 3)))
+        kind, u = EstimatorKind("generalized"), u_of([1], 3)
+        enumerate_expectation(model, kind, u)  # warm-up: caches and lazy imports
+        tracemalloc.start()
+        try:
+            got = enumerate_expectation(model, kind, u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert type(got) is float
+        assert peak < 1.5 * 27**4 * 8
 
     def test_upper_kind_matches_total_index(self):
         model = DiscreteModel(np.random.default_rng(22).random((3, 3)))
         rep = discrete_anova(model)
         u = u_of([1], 2)
-        got, _ = enumerate_expectation(model, EstimatorKind("upper"), u)
+        got = enumerate_expectation(model, EstimatorKind("upper"), u)
         assert got == pytest.approx(rep.upper_u[u], rel=1e-10)
 
     def test_counts_every_distinct_state_it_evaluates(self):
