@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .core import DimensionError, IndexSet, RngSpec
-from .estimators import TAG_OF_ALIAS, EstimatorKind, run_estimator
+from .estimators import KINDS, TAG_OF_ALIAS, EstimatorKind, run_estimator
 from .experiments import (
     BUILTIN_STUDIES,
     builtin_config,
@@ -113,14 +113,17 @@ def _emit(records: list[dict], fmt: str, out: str | None) -> None:
 
 def _cmd_estimate(args) -> int:
     _check_flags(args, "center", seed=0, n=1)
+    tag = TAG_OF_ALIAS[args.estimator]
+    if tag == "original" and args.n < 2:
+        raise UsageError(f"--n must be at least 2 for --estimator original, got {args.n}")
     model = _load_model(args.model)
     u = _parse_set(args.u, model.dim)
-    tag = TAG_OF_ALIAS[args.estimator]
-    v = v2 = None
-    if tag == "generalized":
-        v = _parse_set(args.v, model.dim, "--v") if args.v is not None else None
-        v2 = _parse_set(args.v2, model.dim, "--v2") if args.v2 is not None else None
-    kind = EstimatorKind.of(tag, args.center, v, v2)
+    v = _parse_set(args.v, model.dim, "--v") if args.v is not None else None
+    v2 = _parse_set(args.v2, model.dim, "--v2") if args.v2 is not None else None
+    for name, value in (("center", args.center), ("v", v), ("v2", v2)):
+        if value is not None and name not in KINDS[tag].params:
+            raise UsageError(f"--estimator {args.estimator} takes no --{name}")
+    kind = EstimatorKind(tag, args.center, v, v2)
     report = run_estimator(model, kind, u, args.n, RngSpec(args.seed))
     _emit(
         [
@@ -194,6 +197,8 @@ def _cmd_efficiency_table(args) -> int:
             raise UsageError(f"bad experiment config {args.config}: {exc}") from exc
         if config.workers is None:
             config.workers = args.threads
+        elif args.threads is not None:
+            raise UsageError("--config sets workers; drop --threads")
     table = run_efficiency_experiment(config)
 
     if args.format == "json":

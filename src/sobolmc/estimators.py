@@ -41,11 +41,16 @@ DEFAULT_BATCH = 32768
 
 
 class KindInfo(NamedTuple):
-    """What one estimator kind costs and consumes, and its short name."""
+    """One estimator kind's facts: cost, inputs, short name and parameters.
+
+    ``params`` names the ``EstimatorKind`` fields the kind takes; no other
+    place says which kinds take a center or blending sets.
+    """
 
     cost: int  # function values per sample
     roles: tuple[str, ...]  # independent input vectors, in stream order
     alias: str  # CLI and experiment-config name
+    params: tuple[str, ...] = ()  # EstimatorKind fields the term reads
 
 
 #: every estimator kind, keyed by tag
@@ -53,25 +58,23 @@ KINDS = {
     "original": KindInfo(2, ("x", "y"), "original"),
     "correlation1": KindInfo(3, ("x", "y"), "corr1"),
     "correlation2": KindInfo(4, ("x", "y", "z"), "corr2"),
-    "oracle1": KindInfo(3, ("x", "y"), "orcl1"),
-    "oracle2": KindInfo(2, ("x", "y"), "orcl2"),
-    "generalized": KindInfo(4, ("x", "y", "z", "w"), "gen"),
+    "oracle1": KindInfo(3, ("x", "y"), "orcl1", ("center",)),
+    "oracle2": KindInfo(2, ("x", "y"), "orcl2", ("center",)),
+    "generalized": KindInfo(4, ("x", "y", "z", "w"), "gen", ("v", "v2")),
     "upper": KindInfo(2, ("x", "y"), "upper"),
 }
 
 #: tag of each short name
 TAG_OF_ALIAS = {info.alias: tag for tag, info in KINDS.items()}
 
-_ORACLE_TAGS = ("oracle1", "oracle2")
-
 
 @dataclass(frozen=True)
 class EstimatorKind:
     """Tagged description of one per-sample term.
 
-    ``center`` applies to the oracle kinds only (None defers to the
-    model's exact mean at run time).  ``v``/``v2`` apply to the
-    generalized kind only; None means "use the complement of u", the
+    Setting a parameter that ``KINDS[tag].params`` does not name is an
+    error.  A ``center`` of None defers to the model's exact mean at run
+    time; a ``v``/``v2`` of None means "use the complement of u", the
     variance-optimal choice for product-form integrands.
     """
 
@@ -83,31 +86,11 @@ class EstimatorKind:
     def __post_init__(self) -> None:
         if self.tag not in KINDS:
             raise ValueError(f"unknown estimator tag {self.tag!r}")
-        if self.center is not None:
-            if self.tag not in _ORACLE_TAGS:
-                raise ValueError(f"{self.tag} takes no center")
-            if not math.isfinite(self.center):
-                raise ValueError("oracle center must be finite")
-        if (self.v is not None or self.v2 is not None) and self.tag != "generalized":
-            raise ValueError(f"{self.tag} takes no blending sets v/v2")
-
-    @classmethod
-    def of(
-        cls,
-        tag: str,
-        center: float | None = None,
-        v: IndexSet | None = None,
-        v2: IndexSet | None = None,
-    ) -> "EstimatorKind":
-        """The kind ``tag``, keeping only the parameters it takes.
-
-        A study-wide or command-line ``center`` applies to the oracle kinds
-        and is dropped for the others; likewise ``v``/``v2`` for all but
-        the generalized kind.
-        """
-        oracle = tag in _ORACLE_TAGS
-        gen = tag == "generalized"
-        return cls(tag, center if oracle else None, v if gen else None, v2 if gen else None)
+        for name in ("center", "v", "v2"):
+            if getattr(self, name) is not None and name not in KINDS[self.tag].params:
+                raise ValueError(f"{self.tag} takes no {name}")
+        if self.center is not None and not math.isfinite(self.center):
+            raise ValueError("oracle center must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +186,9 @@ class EstimateReport:
 class _BatchEvals:
     """Caches the function values of one sample batch by blend signature.
 
-    Each role's points are featurized as they arrive (``points`` may be
-    lazy pairs) into d coordinate-major rows, and a blend is evaluated
-    from rows picked by the set, so nothing is copied.  A full blend is
+    Each (role, points) pair, possibly lazy, is featurized as it arrives
+    into d coordinate-major rows, and a blend is evaluated from rows
+    picked by the set, so nothing is copied.  A full blend is
     the plain left point, an empty one the plain right point; each
     distinct signature is evaluated once and counted once per point.
     The exact oracle passes grid midpoints with each role on its own axis,
@@ -213,10 +196,9 @@ class _BatchEvals:
     number of distinct states evaluated.
     """
 
-    def __init__(self, model: Model, points: dict | Iterable[tuple[str, np.ndarray]]) -> None:
+    def __init__(self, model: Model, points: Iterable[tuple[str, np.ndarray]]) -> None:
         self.model = model
-        pairs = points.items() if isinstance(points, dict) else points
-        self.features = {role: model.features(x) for role, x in pairs}
+        self.features = {role: model.features(x) for role, x in points}
         self._cache: dict[tuple, np.ndarray] = {}
 
     def _value(self, key: tuple, rows: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
@@ -279,7 +261,7 @@ def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
 
 
 def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:
-    if kind.tag not in _ORACLE_TAGS:
+    if "center" not in KINDS[kind.tag].params:
         return None
     return model.mean() if kind.center is None else kind.center
 
@@ -302,6 +284,9 @@ def _batches(
     for u in us:
         if u.dim != model.dim:
             raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
+    if len(set(us)) < len(us):  # one accumulator per set would take its batches twice
+        repeated = next(u for k, u in enumerate(us) if u in us[:k])
+        raise ValueError(f"target set {repeated} is repeated")
     sampler = BlockSampler(rng, model.dim)
     done = 0
     while done < n:

@@ -89,8 +89,9 @@ class ExperimentConfig:
     """Everything one efficiency experiment depends on.
 
     ``center`` is the oracle centering policy: None uses the model's exact
-    mean, a float pins an imperfect oracle.  ``kinds`` may add "original"
-    to the compared kinds.  ``workers`` None defers to ``resolve_workers``.
+    mean, a float (refused without an oracle kind) pins an imperfect one.
+    ``kinds`` may add "original"; ``us`` may not repeat a set.  ``workers``
+    None defers to ``resolve_workers``.
     """
 
     model: Model
@@ -113,6 +114,9 @@ class ExperimentConfig:
             raise ValueError(f"'seed' must be nonnegative, got {self.seed}")
         if not self.us:
             raise ValueError("'us' needs at least one target set")
+        if len(set(self.us)) < len(self.us):
+            repeated = next(u for k, u in enumerate(self.us) if u in self.us[:k])
+            raise ValueError(f"'us' repeats the target set {repeated}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         w = self.workers
@@ -124,6 +128,8 @@ class ExperimentConfig:
             raise ValueError(f"kinds {bad} not allowed; choose from {list(allowed)}")
         if "correlation1" not in self.kinds:
             raise ValueError("the correlation1 baseline is required")
+        if self.center is not None and not any("center" in KINDS[k].params for k in self.kinds):
+            raise ValueError("'center' has no effect: no kind in 'kinds' takes a center")
 
 
 @dataclass
@@ -186,7 +192,8 @@ class EfficiencyTable:
 def _replicate_pass(model: Model, config: ExperimentConfig, rep: int):
     """One replicate: per-kind, per-set accumulators from one shared pass."""
     rng = RngSpec(config.seed, rep)
-    kinds = [EstimatorKind.of(tag, config.center) for tag in config.kinds]
+    c = config.center  # the study-wide center goes to the kinds that take one
+    kinds = [EstimatorKind(t, c if "center" in KINDS[t].params else None) for t in config.kinds]
     accs, _ = accumulate_terms(model.clone(), kinds, config.us, config.n, rng, config.batch_size)
     return {kind.tag: accs[kind] for kind in kinds}
 
@@ -360,8 +367,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
     ``model`` is a builtin alias or a nested model document; ``us`` is a
     list of coordinate lists; ``center`` is a number or "mean";
-    ``workers`` is an integer >= 1 or null.  Without ``kinds``,
-    ``include_original`` appends "original" to the compared kinds.  A
+    ``workers`` is an integer >= 1 or null.  ``include_original`` appends
+    "original" to the compared kinds, and is refused with ``kinds``.  A
     builtin alias brings its rows' ``builtin_note`` notes.
     """
     if not isinstance(obj, dict):
@@ -394,6 +401,8 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         kinds = COMPARED_KINDS + (("original",) if obj.get("include_original") else ())
     elif not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
         raise ValueError(f"'kinds' must be a list of strings, got {kinds!r}")
+    elif "include_original" in obj:
+        raise ValueError("'include_original' has no effect with 'kinds'; list \"original\" there")
     sets = tuple(IndexSet.from_indices(ix, model.dim) for ix in us)
     return ExperimentConfig(
         model=model,

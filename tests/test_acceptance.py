@@ -256,6 +256,6 @@ def test_criterion_7_per_sample_zero_property():
     assert np.all(corr2 == 0.0)
     assert np.all(upper == 0.0)
     # and the sampler's own terms are the same exact zeros
-    ev = _BatchEvals(model, {"x": x, "y": y, "z": z})
+    ev = _BatchEvals(model, [("x", x), ("y", y), ("z", z)])
     assert np.array_equal(_batch_terms(ev, EstimatorKind("correlation2"), u, None), corr2)
     assert np.array_equal(_batch_terms(ev, EstimatorKind("upper"), u, None), upper)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sobolmc.cli import main
+from sobolmc.estimators import TAG_OF_ALIAS
 from sobolmc.experiments import BUILTIN_STUDIES, builtin_config
 
 
@@ -79,6 +80,11 @@ class TestEstimate:
         )
         assert code == 2
         assert "disjoint" in err
+
+    def test_original_needs_two_samples(self, capsys):
+        code, out, err = run_cli(capsys, *ESTIMATE_G, "--estimator", "original", "--n", "1")
+        assert code == 2 and out == ""
+        assert err == "error: --n must be at least 2 for --estimator original, got 1\n"
 
     def test_original_has_no_se(self, capsys):
         code, out, _ = run_cli(
@@ -266,7 +272,7 @@ class TestEfficiencyTable:
             ("center", "abc"), ("workers", "2"), ("workers", 0),
             ("n", 20.9), ("n", "abc"), ("replicates", True), ("seed", 1.0),
             ("batch_size", "7"), ("us", 5), ("us", [[1.0]]), ("kinds", "corr1"),
-            ("seed", -1), ("us", []),
+            ("seed", -1), ("us", []), ("us", [[1], [2], [1]]), ("us", [[1, 2], [2, 1]]),
         ],
     )
     def test_config_value_types_are_usage_errors(self, tmp_path, capsys, key, value):
@@ -314,6 +320,32 @@ class TestEfficiencyTable:
         # --threads only fills a worker count the config leaves unset
         code, _, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--threads", "2")
         assert code == 0
+        # ... and is refused next to a config's own workers
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "workers": 1}))
+        code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--threads", "2")
+        assert code == 2 and out == ""
+        assert err == "error: --config sets workers; drop --threads\n"
+
+    @pytest.mark.parametrize(
+        "key, value, kinds",
+        [
+            ("center", 3, ["corr1", "corr2", "original"]),
+            ("include_original", True, ["corr1", "corr2"]),
+            ("include_original", False, ["corr1", "original"]),
+        ],
+    )
+    def test_config_refuses_keys_with_no_effect(self, tmp_path, capsys, key, value, kinds):
+        cfg = tmp_path / "exp.json"
+        doc = {"model": "g", "us": [[1]], "n": 100, "replicates": 2, "seed": 0, "kinds": kinds}
+        cfg.write_text(json.dumps({**doc, key: value}))
+        code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: bad experiment config {cfg}:")
+        assert f"'{key}'" in err
+        # without the key the kinds run, and a center runs once an oracle kind reads it
+        runs = {**doc, "kinds": kinds + ["orcl1"], key: value} if key == "center" else doc
+        cfg.write_text(json.dumps(runs))
+        assert run_cli(capsys, "efficiency-table", "--config", str(cfg))[0] == 0
 
     def test_inert_coordinate_gives_undefined_efficiencies(self, tmp_path, capsys):
         # tau_3 = 0: corr1, corr2 and orcl1 terms are exact zeros at u = {3}
@@ -503,6 +535,28 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--levels", "100", "--dims", "4")
         assert code == 2
         assert "budget" in err
+
+
+#: the estimate flags each kind takes, by --estimator alias
+TAKES = {"--center": {"orcl1", "orcl2"}, "--v": {"gen"}, "--v2": {"gen"}}
+ALIASES = ("original", "corr1", "corr2", "orcl1", "orcl2", "gen", "upper")
+
+
+def test_flag_table_lists_every_estimator():
+    assert sorted(ALIASES) == sorted(TAG_OF_ALIAS)
+
+
+@pytest.mark.parametrize("flag", sorted(TAKES))
+@pytest.mark.parametrize("alias", ALIASES)
+def test_estimate_refuses_a_flag_its_kind_does_not_take(capsys, alias, flag):
+    # on g with u = {1}, --v 2 and --v2 2 are admissible blending sets
+    value = "1" if flag == "--center" else "2"
+    code, out, err = run_cli(capsys, *ESTIMATE_G, "--estimator", alias, "--n", "100", flag, value)
+    if alias in TAKES[flag]:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: --estimator {alias} takes no {flag}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -68,7 +68,7 @@ def u_of(ix, dim):
 
 def terms(model, kind, u, center=None, **arrays):
     """The sampler's per-sample terms of one kind over explicit input arrays."""
-    return _batch_terms(_BatchEvals(model, arrays), kind, u, center)
+    return _batch_terms(_BatchEvals(model, arrays.items()), kind, u, center)
 
 
 class TestTermExamples:
@@ -392,6 +392,17 @@ class TestRunEstimator:
                 run_estimator(model, kind, u_of([1], 3), 10, RngSpec(0), batch_size=-1)
 
 
+class TestRepeatedSets:
+    def test_every_runner_refuses_a_repeated_set(self):
+        # one accumulator per set would take every batch twice
+        model = builtin_model("g")
+        u, w = u_of([1], 3), u_of([2], 3)
+        with pytest.raises(ValueError, match=r"target set \{1\} is repeated"):
+            accumulate_terms(model, [EstimatorKind("correlation1")], [u, w, u], 5, RngSpec(0))
+        with pytest.raises(ValueError, match=r"target set \{1\} is repeated"):
+            run_multi_u(model, EstimatorKind("original"), [u, u], 5, RngSpec(0))
+
+
 class TestEstimatorKindValidation:
     def test_center_only_for_oracles(self):
         with pytest.raises(ValueError):
@@ -404,6 +415,16 @@ class TestEstimatorKindValidation:
             EstimatorKind("upper", v=IndexSet.empty(2))
         with pytest.raises(ValueError):
             EstimatorKind("no-such-kind")
+
+    @pytest.mark.parametrize("tag", sorted(KINDS))
+    def test_each_kind_takes_only_its_parameters(self, tag):
+        takes = {"oracle1": {"center"}, "oracle2": {"center"}, "generalized": {"v", "v2"}}
+        for name, value in (("center", 1.0), ("v", IndexSet.empty(2)), ("v2", IndexSet.empty(2))):
+            if name in takes.get(tag, ()):
+                assert getattr(EstimatorKind(tag, **{name: value}), name) == value
+            else:
+                with pytest.raises(ValueError, match=f"{tag} takes no {name}$"):
+                    EstimatorKind(tag, **{name: value})
 
 
 class TestOriginal:
@@ -468,7 +489,7 @@ class TestSharedPass:
         for tags in (COMPARED_KINDS, COMPARED_KINDS + ("original",)):
             model = builtin_model(name)
             us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
-            kinds = [EstimatorKind.of(tag) for tag in tags]
+            kinds = [EstimatorKind(tag) for tag in tags]
             n = 1000
             _, evals = accumulate_terms(model, kinds, us, n, RngSpec(5), batch_size=300)
             assert evals == per_sample * n == model.counter.count, tags
@@ -484,7 +505,10 @@ class TestSharedPass:
         bits = data.draw(st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=3))
         us = [IndexSet(b, d) for b in sorted({0, 2**d - 1, *bits})]  # empty and full too
         center = data.draw(st.one_of(st.none(), st.floats(-3.0, 3.0)))
-        kinds = [EstimatorKind.of(tag, center) for tag in KINDS]
+        kinds = [
+            EstimatorKind(tag, center if "center" in info.params else None)
+            for tag, info in KINDS.items()
+        ]
         rng = RngSpec(data.draw(st.integers(0, 2**16)), data.draw(st.integers(0, 3)))
 
         shared, _ = accumulate_terms(model.clone(), kinds, us, n, rng, batch_size)
@@ -508,7 +532,7 @@ class TestSharedPass:
         model = DiscreteModel(table)
         bits = data.draw(st.lists(st.integers(0, 2**d - 1), min_size=1, max_size=3, unique=True))
         us = [IndexSet(b, d) for b in bits]
-        kinds = [EstimatorKind.of(tag) for tag in KINDS]
+        kinds = [EstimatorKind(tag) for tag in KINDS]
         n = 4000
         accs, _ = accumulate_terms(model, kinds, us, n, RngSpec(data.draw(st.integers(0, 2**16))))
         anova = discrete_anova(model)
@@ -569,7 +593,7 @@ class TestSharedPass:
         size = data.draw(st.integers(1, 17))
         gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         points = {role: gen.random((size, d)) for role in ROLES}
-        ev = _BatchEvals(model, points)
+        ev = _BatchEvals(model, points.items())
         reference = model.clone()
         requests = data.draw(
             st.lists(
@@ -621,7 +645,7 @@ class TestSharedPass:
             "discrete": random_discrete(3, levels=3, dims=d),
         }[family]
         gen = np.random.default_rng(7)
-        ev = _BatchEvals(model, {"x": gen.random((50, d)), "y": gen.random((50, d))})
+        ev = _BatchEvals(model, [("x", gen.random((50, d))), ("y", gen.random((50, d)))])
         before = {role: f.copy() for role, f in ev.features.items()}
         for bits in range(2**d):
             ev.blended("x", "y", IndexSet(bits, d))

@@ -75,6 +75,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="baseline"):
             self.base(kinds=("correlation2",))
 
+    def test_center_needs_an_oracle_kind(self):
+        self.base(kinds=("correlation1", "oracle2"), center=3.0)
+        with pytest.raises(ValueError, match="'center'"):
+            self.base(kinds=("correlation1", "correlation2", "original"), center=3.0)
+
+    def test_repeated_sets(self):
+        self.base(us=(u_of([1], 3), u_of([1, 2], 3)))
+        with pytest.raises(ValueError, match=r"'us' repeats the target set \{1,2\}"):
+            self.base(us=(u_of([1, 2], 3), u_of([3], 3), u_of([2, 1], 3)))
+
 
 @pytest.fixture(scope="module")
 def small_g():
@@ -280,8 +290,9 @@ def product_experiments(draw):
     d = draw(st.integers(1, 4))
     mu = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
     tau = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=d, max_size=d))
-    extra = draw(st.lists(st.sets(st.integers(1, d), min_size=1), max_size=2))
-    sets = [list(range(1, d + 1))] + [sorted(s) for s in extra]
+    extra = draw(st.lists(st.frozensets(st.integers(1, d), min_size=1), max_size=2))
+    # distinct sets, the full set first: a repeated target set is refused
+    sets = [sorted(s) for s in dict.fromkeys([frozenset(range(1, d + 1)), *extra])]
     n = draw(st.integers(2, 17))
     batch_size = draw(st.sampled_from([1, 5, n]))
     replicates = draw(st.integers(2, 3))
