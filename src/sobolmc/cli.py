@@ -123,6 +123,9 @@ def _cmd_estimate(args) -> int:
     for name, value in (("center", args.center), ("v", v), ("v2", v2)):
         if value is not None and name not in KINDS[tag].params:
             raise UsageError(f"--estimator {args.estimator} takes no --{name}")
+    for flag, w in (("--v", v), ("--v2", v2)):
+        if w is not None and not w.isdisjoint(u):
+            raise UsageError(f"{flag} {w} must be disjoint from --u {u}")
     kind = EstimatorKind(tag, args.center, v, v2)
     report = run_estimator(model, kind, u, args.n, RngSpec(args.seed))
     _emit(

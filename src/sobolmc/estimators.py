@@ -118,7 +118,8 @@ class Accumulator:
         if k == 0:
             return
         bmean = float(values.mean())
-        bm2 = float(np.sum((values - bmean) ** 2))
+        dev = values - bmean  # squared in place: x ** 2 is x * x
+        bm2 = float(np.sum(np.multiply(dev, dev, out=dev)))
         self._combine(k, bmean, bm2)
 
     def merge(self, other: "Accumulator") -> None:
@@ -191,6 +192,8 @@ class _BatchEvals:
     picked by the set, so nothing is copied.  A full blend is
     the plain left point, an empty one the plain right point; each
     distinct signature is evaluated once and counted once per point.
+    ``release(u)`` frees the blends over u once every term of set u is
+    formed; only set u's terms read them.
     The exact oracle passes grid midpoints with each role on its own axis,
     so the rows broadcast to every joint grid state and a count is the
     number of distinct states evaluated.
@@ -220,6 +223,11 @@ class _BatchEvals:
             (role_a, role_b, u.bits),
             lambda: pick_rows(self.features[role_a], self.features[role_b], u),
         )
+
+    def release(self, u: IndexSet) -> None:
+        """Drop the cached blends over u; plain values stay."""
+        for key in [k for k in self._cache if len(k) == 3 and k[2] == u.bits]:
+            del self._cache[key]
 
 
 def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
@@ -319,13 +327,14 @@ def accumulate_terms(
     roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
     start = model.counter.count
     for ev in _batches(model, roles, us, n, rng, batch_size):
-        for kind, per_set in accs.items():
-            for u in us:
-                per_set[u].add_batch(_batch_terms(ev, kind, u, centers[kind]))
         if original in accs:
             fx.add_batch(ev.plain("x"))
-            for u in us:
+        for u in us:  # set by set, so a batch holds only the blends over one set
+            for kind, per_set in accs.items():
+                per_set[u].add_batch(_batch_terms(ev, kind, u, centers[kind]))
+            if original in accs:
                 fb[u].add_batch(ev.blended("x", "y", u))
+            ev.release(u)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}
     return accs, model.counter.count - start

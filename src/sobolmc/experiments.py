@@ -403,6 +403,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         raise ValueError(f"'kinds' must be a list of strings, got {kinds!r}")
     elif "include_original" in obj:
         raise ValueError("'include_original' has no effect with 'kinds'; list \"original\" there")
+    tags = tuple(TAG_OF_ALIAS.get(k, k) for k in kinds)
+    # "mean" becomes None, which ExperimentConfig cannot tell from no key at all
+    if "center" in obj and all(t in KINDS and "center" not in KINDS[t].params for t in tags):
+        raise ValueError("'center' has no effect: no kind in 'kinds' takes a center")
     sets = tuple(IndexSet.from_indices(ix, model.dim) for ix in us)
     return ExperimentConfig(
         model=model,
@@ -411,7 +415,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         replicates=int(obj["replicates"]),
         seed=int(obj["seed"]),
         center=center,
-        kinds=tuple(TAG_OF_ALIAS.get(k, k) for k in kinds),
+        kinds=tags,
         batch_size=int(obj.get("batch_size", DEFAULT_BATCH)),
         workers=obj.get("workers"),
         notes={u: builtin_note(spec, u) for u in sets} if isinstance(spec, str) else {},

@@ -179,11 +179,13 @@ class _FactorProduct(Model):
         return h
 
     def _values(self, h: Sequence[np.ndarray]) -> np.ndarray:
-        # left to right, j = 1..d, as np.prod(axis=-1) multiplies; each step
-        # allocates, because a row may be a view of cached features
-        out = h[0]
-        for row in h[1:]:
-            out = out * row
+        # left to right, j = 1..d, as np.prod(axis=-1) multiplies, into one
+        # fresh array: a row may be a view of cached features, so none is written
+        if len(h) == 1:
+            return h[0]
+        out = np.multiply(h[0], h[1], out=np.empty(np.broadcast_shapes(*(r.shape for r in h))))
+        for row in h[2:]:
+            np.multiply(out, row, out=out)
         return out
 
 

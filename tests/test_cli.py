@@ -2,12 +2,16 @@ import csv
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sobolmc
 from sobolmc.cli import main
+from sobolmc.core import BlockSampler
 from sobolmc.estimators import TAG_OF_ALIAS
 from sobolmc.experiments import BUILTIN_STUDIES, builtin_config
 
@@ -332,6 +336,8 @@ class TestEfficiencyTable:
             ("center", 3, ["corr1", "corr2", "original"]),
             ("include_original", True, ["corr1", "corr2"]),
             ("include_original", False, ["corr1", "original"]),
+            ("center", "mean", ["corr1", "corr2"]),
+            ("center", None, ["corr1", "original"]),
         ],
     )
     def test_config_refuses_keys_with_no_effect(self, tmp_path, capsys, key, value, kinds):
@@ -559,6 +565,17 @@ def test_estimate_refuses_a_flag_its_kind_does_not_take(capsys, alias, flag):
         assert err == f"error: --estimator {alias} takes no {flag}\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--v", "1"), ("--v2", "1,2")])
+def test_blending_sets_must_miss_u(capsys, monkeypatch, flag, value):
+    def no_draws(*args):
+        raise AssertionError("drew samples before checking the flags")
+
+    monkeypatch.setattr(BlockSampler, "draw_role", no_draws)
+    code, out, err = run_cli(capsys, *ESTIMATE_G, "--estimator", "gen", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} {{{value}}} must be disjoint from --u {{1}}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "argv",
@@ -591,10 +608,14 @@ def test_csv_lines_end_in_a_bare_newline(capsys, argv):
 
 
 def test_console_script_wiring():
+    # the child imports the package under test, found however this process found it
+    src = str(Path(sobolmc.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sobolmc.cli", "anova", "--model", "g", "--u", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["sigma2_u"] == pytest.approx(0.0675, rel=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sobolmc import experiments
 from sobolmc.core import ROLES, BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
+    DEFAULT_BATCH,
     KINDS,
     Accumulator,
     EstimatorKind,
@@ -248,6 +250,20 @@ class TestAccumulator:
         ba.merge(filled(a))
         assert ab.mean == pytest.approx(ba.mean, rel=1e-9, abs=1e-9)
         assert ab.m2 == pytest.approx(ba.m2, rel=1e-9, abs=1e-6)
+
+    @pytest.mark.parametrize("size", [1, 2, 1001, 32768])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-300])
+    @pytest.mark.parametrize("shape", ["uniform", "normal", "mixed-sign"])
+    def test_squared_deviations_match_numpy_bit_for_bit(self, size, scale, shape):
+        gen = np.random.default_rng(size)
+        values = {
+            "uniform": gen.random(size),
+            "normal": gen.normal(3.0, 2.0, size),
+            "mixed-sign": gen.uniform(-1.0, 1.0, size) * 10.0 ** gen.integers(-3, 2, size),
+        }[shape] * scale
+        want = float(np.sum((values - float(values.mean())) ** 2))
+        assert math.isfinite(want)
+        assert np.float64(filled(values).m2).tobytes() == np.float64(want).tobytes()
 
     def test_empty_merge(self):
         acc = filled([1.0, 2.0])
@@ -493,6 +509,65 @@ class TestSharedPass:
             n = 1000
             _, evals = accumulate_terms(model, kinds, us, n, RngSpec(5), batch_size=300)
             assert evals == per_sample * n == model.counter.count, tags
+
+    #: blend signatures of each kind over d = 4 with u = {1} and its complement
+    #: w = {2,3,4}: a plain role, or (left role, right role, set)
+    COMPLEMENT_SIGNATURES = {
+        "original": {"x", ("x", "y", "u"), ("x", "y", "w")},
+        "correlation1": {"x", "y", ("x", "y", "u"), ("x", "y", "w")},
+        "correlation2": {"x", "y", ("x", "y", "u"), ("z", "x", "u"), ("x", "y", "w"), ("z", "x", "w")},
+        "oracle1": {"x", "y", ("x", "y", "u"), ("x", "y", "w")},
+        "oracle2": {"x", ("x", "y", "u"), ("x", "y", "w")},
+        # v = v2 = complement of the set: x_w#z_u and y_w#w_u for u, x_u#z_w and y_u#w_w for w
+        "generalized": {
+            "x", ("x", "y", "u"), ("x", "z", "w"), ("y", "w", "w"),
+            ("x", "y", "w"), ("x", "z", "u"), ("y", "w", "u"),
+        },
+        "upper": {"x", ("y", "x", "u"), ("y", "x", "w")},
+    }
+
+    @pytest.mark.parametrize("order", ["u first", "complement first"])
+    def test_a_set_and_its_complement_evaluate_each_signature_once(self, order):
+        d, n = 4, 1000
+        u, w = u_of([1], d), u_of([2, 3, 4], d)
+        us = [u, w] if order == "u first" else [w, u]
+        model = GFunction([0.0, 1.0, 4.0, 9.0])
+        for tag, signatures in self.COMPLEMENT_SIGNATURES.items():
+            _, evals = accumulate_terms(model.clone(), [EstimatorKind(tag)], us, n, RngSpec(2), 300)
+            assert evals == n * len(signatures), tag
+        every = [EstimatorKind(tag) for tag in KINDS]
+        _, evals = accumulate_terms(model.clone(), every, us, n, RngSpec(2), 256)
+        assert evals == n * len(set().union(*self.COMPLEMENT_SIGNATURES.values()))
+
+    @pytest.mark.parametrize("sets", [[[1], [2]], [[2], [1]], [[1], [2], [1, 2]], [[1, 2], [1], [2]]])
+    def test_explicit_blending_sets_are_shared_by_every_set(self, sets):
+        # v = {3,4} and v2 = {3} miss every target set, so x_v#z_-v and
+        # y_v2#w_-v2 are evaluated once per sample, not once per set, even
+        # where v is the complement of a set already done
+        d, n = 4, 1000
+        us = [u_of(ix, d) for ix in sets]
+        kind = EstimatorKind("generalized", v=u_of([3, 4], d), v2=u_of([3], d))
+        _, evals = accumulate_terms(GFunction([0.0, 1.0, 4.0, 9.0]), [kind], us, n, RngSpec(2), 300)
+        # f(x), f(x_{3,4}#z), f(y_3#w) and one f(x_u#y_-u) per set
+        assert evals == n * (3 + len(us))
+
+    @pytest.mark.parametrize("name", ["product6", "g"])
+    def test_a_batch_holds_the_blends_of_one_set_at_a_time(self, name):
+        # one full batch of the compared kinds over the study sets; the peak
+        # is 3 roles' d feature rows plus f(x), f(y), one set's blends and
+        # the term temporaries, not 2 blends for every set
+        model = builtin_model(name)
+        us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
+        kinds = [EstimatorKind(tag) for tag in COMPARED_KINDS]
+        accumulate_terms(model, kinds, us, DEFAULT_BATCH, RngSpec(1))  # warm-up
+        tracemalloc.start()
+        try:
+            accumulate_terms(model, kinds, us, DEFAULT_BATCH, RngSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = peak / (DEFAULT_BATCH * 8)
+        assert rows < 3 * model.dim + 10, rows
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
