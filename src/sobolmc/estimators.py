@@ -191,12 +191,15 @@ class _BatchEvals:
     into d coordinate-major rows, and a blend is evaluated from rows
     picked by the set, so nothing is copied.  A full blend is
     the plain left point, an empty one the plain right point; each
-    distinct signature is evaluated once and counted once per point.
+    distinct signature is evaluated once and counted once per point, and
+    its values are read-only, because every term of the batch shares them.
     ``release(u)`` frees the blends over u once every term of set u is
     formed; only set u's terms read them.
     The exact oracle passes grid midpoints with each role on its own axis,
-    so the rows broadcast to every joint grid state and a count is the
-    number of distinct states evaluated.
+    so a value spans only the axes of the roles it reads and a count is
+    the number of distinct states evaluated; the oracle forms the two
+    term factors with ``_term_factors`` and contracts them over the grid
+    without building it.
     """
 
     def __init__(self, model: Model, points: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -208,7 +211,9 @@ class _BatchEvals:
         if key not in self._cache:
             picked = rows()
             self.model.counter.add(math.prod(np.broadcast_shapes(*(r.shape for r in picked))))
-            self._cache[key] = self.model._values(picked)
+            value = self.model._values(picked)
+            value.flags.writeable = False  # shared by every term that reads it
+            self._cache[key] = value
         return self._cache[key]
 
     def plain(self, role: str) -> np.ndarray:
@@ -230,42 +235,50 @@ class _BatchEvals:
             del self._cache[key]
 
 
-def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
-    """Per-sample terms of ``kind`` for target set u; the one place each is written.
+def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
+    """The two factors of ``kind``'s per-sample term for target set u.
 
+    The one place each kind's algebra is written: the term is left * right.
     ``ev`` is a ``_BatchEvals`` over a sample batch or, in the exact oracle,
-    over every joint grid state of a tabulated model, so the oracle checks
-    the same algebra the sampler streams.  ``original`` yields its raw cross
+    over the grid midpoints with one role per axis, where each factor spans
+    only the axes of the roles it reads.  ``original`` yields its raw cross
     moment f(x) f(x_u#y_-u).
     """
     tag = kind.tag
     if tag == "correlation1":
-        return ev.plain("x") * (ev.blended("x", "y", u) - ev.plain("y"))
+        return ev.plain("x"), ev.blended("x", "y", u) - ev.plain("y")
     if tag == "correlation2":
         # both factors are centered by a pick-freeze value, so each one
         # vanishes per sample when f does not depend on the u coordinates
-        return (ev.plain("x") - ev.blended("z", "x", u)) * (
-            ev.blended("x", "y", u) - ev.plain("y")
-        )
+        return ev.plain("x") - ev.blended("z", "x", u), ev.blended("x", "y", u) - ev.plain("y")
     if tag == "oracle1":
-        return (ev.plain("x") - center) * (ev.blended("x", "y", u) - ev.plain("y"))
+        return ev.plain("x") - center, ev.blended("x", "y", u) - ev.plain("y")
     if tag == "oracle2":  # expectation lower_u needs c = mu; oracle1's holds for any c
-        return (ev.plain("x") - center) * (ev.blended("x", "y", u) - center)
+        return ev.plain("x") - center, ev.blended("x", "y", u) - center
     if tag == "generalized":
         # v = v2 = complement(u) with the u part of w taken from y is correlation2
         v = kind.v if kind.v is not None else u.complement()
         v2 = kind.v2 if kind.v2 is not None else u.complement()
         if not v.isdisjoint(u) or not v2.isdisjoint(u):
             raise ValueError(f"v={v} and v2={v2} must be disjoint from u={u}")
-        return (ev.plain("x") - ev.blended("x", "z", v)) * (
-            ev.blended("x", "y", u) - ev.blended("y", "w", v2)
+        return (
+            ev.plain("x") - ev.blended("x", "z", v),
+            ev.blended("x", "y", u) - ev.blended("y", "w", v2),
         )
     if tag == "upper":
         diff = ev.plain("x") - ev.blended("y", "x", u)
-        return 0.5 * diff * diff
+        return 0.5 * diff, diff
     if tag == "original":
-        return ev.plain("x") * ev.blended("x", "y", u)
+        return ev.plain("x"), ev.blended("x", "y", u)
     raise ValueError(f"no term for {tag!r}")
+
+
+def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
+    """Per-sample terms of ``kind`` for target set u."""
+    left, right = _term_factors(ev, kind, u, center)
+    # a fresh right factor takes the product in place, as numpy reuses a
+    # temporary within one expression; a new batch array per term is slower
+    return np.multiply(left, right, out=right) if right.flags.writeable else left * right
 
 
 def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:

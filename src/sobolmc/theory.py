@@ -24,8 +24,9 @@ factors with symmetric shapes) and is a monotone surrogate otherwise.
 it computes the exact mean of the sampler's own per-sample term over all
 joint grid states of the 2-4 input vectors.  It feeds the cell midpoints
 of every state to the sampler's ``_BatchEvals``, one role per grid axis,
-so the feature blends, table lookups and ``_batch_terms`` it checks are
-the code that samples.
+so the feature blends, table lookups and ``_term_factors`` it checks are
+the code that samples.  It contracts the term's two factors over the grid
+without building it: each factor is summed over the axes only it spans.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import IndexSet, pick_rows
-from .estimators import KINDS, EstimatorKind, _BatchEvals, _batch_terms, _resolve_center
+from .estimators import KINDS, EstimatorKind, _BatchEvals, _resolve_center, _term_factors
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
 
@@ -162,10 +163,17 @@ def argmin_v(model: ProductModel, u: IndexSet, objective: str = "proxy") -> Inde
 MAX_STATES = 10_000_000
 
 
-def _stable_mean(t: np.ndarray) -> float:
-    # pairwise partial sums along trailing axes, compensated outer sum
-    parts = np.sum(t.reshape(t.shape[0], -1), axis=1)
-    return math.fsum(parts.tolist()) / t.size
+def _grid_mean(left: np.ndarray, right: np.ndarray) -> float:
+    # mean of left * right over their broadcast grid without forming it: each
+    # factor is summed over the axes only it spans, then the products of those
+    # partial sums are added; an axis neither spans leaves the mean unchanged
+    def own_sum(a, b):
+        axes = tuple(k for k in range(a.ndim) if b.shape[k] == 1 < a.shape[k])
+        return np.sum(a, axis=axes, keepdims=True)
+
+    parts = own_sum(left, right) * own_sum(right, left)
+    size = math.prod(np.broadcast_shapes(left.shape, right.shape))
+    return math.fsum(parts.ravel().tolist()) / size
 
 
 def enumerate_expectation(
@@ -176,7 +184,7 @@ def enumerate_expectation(
 ) -> float:
     """Exact mean of a per-sample term over all grid states.
 
-    Sums the term over every joint state of the input vectors the kind
+    Averages the term over every joint state of the input vectors the kind
     consumes (m^2 .. m^4 states for m = levels^dim), which is the
     distribution induced by uniform sampling of the piecewise-constant
     model.  Oracle centers default to the exact table mean.  Raises
@@ -194,13 +202,12 @@ def enumerate_expectation(
         )
 
     # role k reads the cell midpoints of all m states along its own axis k,
-    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend
-    # and table lookup broadcasts to the joint grid
+    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend,
+    # table lookup and term factor spans only the axes of the roles it reads
     cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
     mids = (cells + 0.5) / model.levels
     ev = _BatchEvals(model, [
         (role, mids.reshape((1,) * k + (m,) + (1,) * (n_roles - 1 - k) + (model.dim,)))
         for k, role in enumerate(roles)
     ])
-    t = _batch_terms(ev, kind, u, _resolve_center(model, kind))
-    return _stable_mean(np.broadcast_to(t, (m,) * n_roles))
+    return _grid_mean(*_term_factors(ev, kind, u, _resolve_center(model, kind)))

@@ -12,9 +12,10 @@ so the suite can check, with no sampling error, that
 * the expanded Q factors equal the literal squared differences.
 
 The enumerations run the sampler's own ``_BatchEvals`` (feature blends,
-table lookups and ``_batch_terms``) on every joint grid state, so a wrong
-term, blend or lookup shows up here.  Any violation is reported on the
-ledger and fails the suite.
+table lookups and ``_term_factors``) on the grid midpoints and contract
+the two factors over every joint grid state without building the grid,
+so a wrong term, blend or lookup shows up here.  Any violation is
+reported on the ledger and fails the suite.
 """
 
 from __future__ import annotations

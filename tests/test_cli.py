@@ -478,22 +478,32 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
 
-    @pytest.mark.parametrize("part", ["term", "blend", "axes"])
-    def test_corrupted_estimator_fails(self, capsys, monkeypatch, part):
-        # negative controls: break the sampler's correlation2 term, swap the
-        # operands of its feature blend, or read the coordinate-major index
-        # rows in reverse, and the exact suite must notice
+    @pytest.mark.parametrize(
+        "part, tag",
+        [
+            pytest.param("term", "correlation2", id="term"),
+            pytest.param("term", "generalized", id="term-generalized"),
+            pytest.param("blend", "correlation2", id="blend"),
+            pytest.param("axes", "correlation2", id="axes"),
+        ],
+    )
+    def test_corrupted_estimator_fails(self, capsys, monkeypatch, part, tag):
+        # negative controls: scale one factor of the sampler's correlation2 or
+        # generalized term, swap the operands of a feature blend, or read the
+        # coordinate-major index rows in reverse, and the exact suite must notice
         from sobolmc import estimators, models, theory
         from sobolmc.verification import verify_suite
 
         if part == "term":
-            real_terms = theory._batch_terms
+            real_factors = theory._term_factors
 
             def broken(ev, kind, u, center):
-                t = real_terms(ev, kind, u, center)
-                return t + 1e-3 if kind.tag == "correlation2" else t
+                # a scale, not a shift: both correlation2 factors have mean
+                # zero, so a shifted factor would leave the mean unchanged
+                left, right = real_factors(ev, kind, u, center)
+                return (left * (1 + 1e-3), right) if kind.tag == tag else (left, right)
 
-            monkeypatch.setattr(theory, "_batch_terms", broken)
+            monkeypatch.setattr(theory, "_term_factors", broken)
         elif part == "blend":
             real_blended = estimators._BatchEvals.blended
             monkeypatch.setattr(
@@ -509,7 +519,7 @@ class TestVerify:
         assert verify_suite(levels=3, dims=2, trials=1, log=None) is False
         code, out, _ = run_cli(capsys, "verify", "--trials", "1")
         assert code == 1
-        assert "[FAIL]" in out and "E[correlation2]" in out
+        assert "[FAIL]" in out and f"E[{tag}" in out
 
     @pytest.mark.parametrize(
         "argv, flag, value, least",
@@ -619,3 +629,17 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["sigma2_u"] == pytest.approx(0.0675, rel=1e-12)
+
+
+def test_package_runs_as_a_module():
+    # python -m sobolmc is the CLI, as the console script is
+    src = str(Path(sobolmc.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sobolmc", "verify", "--trials", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1].startswith("[PASS]")

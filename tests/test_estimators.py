@@ -89,6 +89,32 @@ class TestTermExamples:
         assert np.all(terms(m, EstimatorKind("oracle2"), u, 2.0, **xyz) == 0.0)
         assert np.all(terms(m, EstimatorKind("upper"), u, **xyz) == 0.0)
 
+    def test_terms_keep_the_bits_of_the_literal_expressions(self):
+        # every kind's sampled term is its module-docstring expression,
+        # operation for operation, so splitting it into factors moves no bit;
+        # the kinds share one batch, as in the shared pass, so a product
+        # written into a cached value would break the kinds read after it
+        model = builtin_model("g")
+        u, v, v2 = u_of([1], 3), u_of([2], 3), u_of([2, 3], 3)
+        x, y, z, w = self.x, self.y, self.z, self.w
+        f, c = model.evaluate, 26.5
+        fx, fy, fu = f(x), f(y), f(blend(x, y, u))
+        diff = fx - f(blend(y, x, u))
+        literal = {
+            EstimatorKind("original"): fx * fu,
+            EstimatorKind("correlation1"): fx * (fu - fy),
+            EstimatorKind("correlation2"): (fx - f(blend(z, x, u))) * (fu - fy),
+            EstimatorKind("oracle1", center=c): (fx - c) * (fu - fy),
+            EstimatorKind("oracle2", center=c): (fx - c) * (fu - c),
+            EstimatorKind("generalized", v=v, v2=v2): (fx - f(blend(x, z, v)))
+            * (fu - f(blend(y, w, v2))),
+            EstimatorKind("upper"): 0.5 * diff * diff,
+        }
+        assert {kind.tag for kind in literal} == set(KINDS)
+        ev = _BatchEvals(model, dict(x=x, y=y, z=z, w=w).items())
+        for kind, want in literal.items():
+            assert np.array_equal(_batch_terms(ev, kind, u, kind.center), want), kind.tag
+
     def test_correlation1_symbolic_linear_case(self):
         # f(x) = x_1 on d=2: the term is x_1 (x_1 - y_1)
         f = ProductModel([0.5, 1.0], [math.sqrt(1.0 / 12.0), 0.0], "uniform")

@@ -1,12 +1,13 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
-from sobolmc.estimators import EstimatorKind, accumulate_terms
+from sobolmc.estimators import KINDS, EstimatorKind, accumulate_terms
 from sobolmc.models import (
     BudgetError,
     DiscreteModel,
@@ -227,16 +228,19 @@ class TestVarianceIdentity:
         assert abs(term_var - moment) < 4 * combined
 
 
-def literal_enumeration(model, kind, u):
-    """Plain-Python joint-state sum; the independent check on the oracle."""
+def literal_enumeration(model, kind, u, num=float):
+    """Plain-Python joint-state sum; the independent check on the oracle.
+
+    With ``num=Fraction`` every value and term is an exact rational.
+    """
     levels, d = model.levels, model.dim
     grid = list(itertools.product(range(levels), repeat=d))
-    f = {g: model.table[g] for g in grid}
+    f = {g: num(model.table[g]) for g in grid}
 
     def bl(a, b, s):
         return tuple(a[j] if (j + 1) in s else b[j] for j in range(d))
 
-    c = kind.center if kind.center is not None else model.mean()
+    c = num(kind.center if kind.center is not None else model.mean())
     terms = []
     if kind.tag in ("correlation1", "oracle1", "oracle2", "original"):
         for x, y in itertools.product(grid, repeat=2):
@@ -254,7 +258,7 @@ def literal_enumeration(model, kind, u):
             terms.append((f[x] - f[bl(z, x, u)]) * (f[bl(x, y, u)] - f[y]))
     elif kind.tag == "upper":
         for x, y in itertools.product(grid, repeat=2):
-            terms.append(0.5 * (f[x] - f[bl(y, x, u)]) ** 2)
+            terms.append(num(0.5) * (f[x] - f[bl(y, x, u)]) ** 2)
     elif kind.tag == "generalized":
         v = kind.v if kind.v is not None else u.complement()
         v2 = kind.v2 if kind.v2 is not None else u.complement()
@@ -262,7 +266,7 @@ def literal_enumeration(model, kind, u):
             terms.append((f[x] - f[bl(x, z, v)]) * (f[bl(x, y, u)] - f[bl(y, w, v2)]))
     else:
         raise NotImplementedError(kind.tag)
-    return math.fsum(terms) / len(terms)
+    return (math.fsum(terms) if num is float else sum(terms)) / len(terms)
 
 
 class TestEnumerateExpectation:
@@ -283,6 +287,23 @@ class TestEnumerateExpectation:
             got = enumerate_expectation(model, kind, u)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_matches_exact_rational_enumeration(self, levels):
+        # the literal terms summed as Fractions are exact, so this bounds the
+        # rounding of the oracle's own summation, kind by kind
+        model = DiscreteModel(np.random.default_rng(17).random((levels, levels)))
+        for u in list(IndexSet.full(2).subsets())[1:]:
+            comp = u.complement()
+            kinds = [EstimatorKind(tag) for tag in KINDS if tag != "generalized"] + [
+                EstimatorKind("generalized", v=v, v2=v2)
+                for v in comp.subsets()
+                for v2 in comp.subsets()
+            ]
+            for kind in kinds:
+                want = literal_enumeration(model, kind, u, num=Fraction)
+                got = enumerate_expectation(model, kind, u)
+                assert abs(Fraction(got) - want) <= 1e-13 * abs(want), (kind, u)
+
     def test_generalized_unbiased_for_all_pairs(self):
         model = DiscreteModel(np.random.default_rng(21).random((3, 3)))
         rep = discrete_anova(model)
@@ -292,9 +313,10 @@ class TestEnumerateExpectation:
                 got = enumerate_expectation(model, EstimatorKind("generalized", v=v, v2=v2), u)
                 assert got == pytest.approx(rep.lower_u[u], rel=1e-10)
 
-    def test_generalized_peak_memory_is_one_term_array(self):
-        # the mean reads the one m^4 term array; a second full-grid temporary,
-        # such as the squared deviations of a term variance, doubles the peak
+    def test_generalized_never_forms_the_m4_array(self):
+        # each factor spans at most three of the four role axes, and the mean
+        # is taken from their partial sums, so no m^4 temporary is ever built:
+        # the peak stays within a few m^3 arrays (one m^4 array is 27 of them)
         model = DiscreteModel(np.random.default_rng(31).random((3, 3, 3)))
         kind, u = EstimatorKind("generalized"), u_of([1], 3)
         enumerate_expectation(model, kind, u)  # warm-up: caches and lazy imports
@@ -305,7 +327,7 @@ class TestEnumerateExpectation:
         finally:
             tracemalloc.stop()
         assert type(got) is float
-        assert peak < 1.5 * 27**4 * 8
+        assert peak < 4 * 27**3 * 8
 
     def test_upper_kind_matches_total_index(self):
         model = DiscreteModel(np.random.default_rng(22).random((3, 3)))
