@@ -188,16 +188,24 @@ def _cmd_efficiency_table(args) -> int:
     # the study flags default to None, so a given one is seen; builtin_config has the defaults
     study = ("n", "replicates", "seed", "center", "include_original")
     given = {key: getattr(args, key) for key in study if getattr(args, key) is not None}
+    # the CSV schema has no original_estimate column, so original would be dropped unseen
+    no_csv = "has no effect: --format csv has no original_estimate column; use --format json"
     if args.benchmark is not None:
+        if args.include_original and args.format == "csv":
+            raise UsageError(f"--include-original {no_csv}")
         config = builtin_config(args.benchmark, workers=args.threads, **given)
     else:
         if given:
             flags = ", ".join("--" + key.replace("_", "-") for key in given)
             raise UsageError(f"--config sets the experiment; drop {flags}")
         try:
-            config = config_from_json(json.loads(Path(args.config).read_text()))
+            doc = json.loads(Path(args.config).read_text())
+            config = config_from_json(doc)
         except (OSError, ValueError, DimensionError) as exc:
             raise UsageError(f"bad experiment config {args.config}: {exc}") from exc
+        if "original" in config.kinds and args.format == "csv":
+            key = "kinds" if "kinds" in doc else "include_original"
+            raise UsageError(f"config {args.config}: original from {key!r} {no_csv}")
         if config.workers is None:
             config.workers = args.threads
         elif args.threads is not None:
@@ -268,7 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eff.add_argument("--n", type=int, default=None, help=f"samples (default {defaults['n']})")
     p_eff.add_argument("--replicates", type=int, default=None, help=f"replicates (default {defaults['replicates']})")
     p_eff.add_argument("--center", type=float, default=None)
-    p_eff.add_argument("--include-original", action="store_true", default=None)
+    p_eff.add_argument(
+        "--include-original", action="store_true", default=None,
+        help="also run the biased original kind (needs --format json)",
+    )
     p_eff.add_argument("--threads", type=int, default=None, help="replicate workers (or SOBOL_THREADS)")
     p_eff.set_defaults(func=_cmd_efficiency_table)
 

@@ -190,8 +190,16 @@ class BlockSampler:
         self.dim = dim
         self._streams: dict[str, np.random.Generator] = {}
 
-    def draw_role(self, role: str, n: int) -> np.ndarray:
-        """n points of shape (n, dim) from one role's stream."""
+    def draw_role(self, role: str, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The role's next n points, shape (n, dim), written into ``out`` when given.
+
+        A stream continues across calls, so drawing n points in consecutive
+        chunks gives the same numbers as one draw of n.
+        """
         if role not in self._streams:
             self._streams[role] = self.spec.stream(role)
-        return self._streams[role].random((n, self.dim))
+        if out is None:
+            return self._streams[role].random((n, self.dim))
+        if out.shape != (n, self.dim):
+            raise ValueError(f"out has shape {out.shape}, expected {(n, self.dim)}")
+        return self._streams[role].random(out=out)

@@ -66,20 +66,30 @@ class FactorMoments:
 
 @dataclass(frozen=True)
 class FactorKind:
-    """A factor shape g with its third/fourth moments."""
+    """A factor shape g with its third/fourth moments.
+
+    ``g(x, out=None)`` maps an array elementwise; given ``out`` (of x's
+    shape) it writes the values there and returns it.
+    """
 
     name: str
-    g: Callable[[np.ndarray], np.ndarray]
+    g: Callable[..., np.ndarray]
     moments: FactorMoments
 
 
-def _uniform_g(x: np.ndarray) -> np.ndarray:
-    return _SQRT12 * (x - 0.5)
+def _uniform_g(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # sqrt(12) (x - 0.5), one operation at a time
+    out = np.subtract(x, 0.5, out=np.empty(np.shape(x)) if out is None else out)
+    return np.multiply(_SQRT12, out, out=out)
 
 
-def _tent_g(x: np.ndarray) -> np.ndarray:
-    # |4x-2| is uniform on [0,2] for x ~ U[0,1]: moments 2^k/(k+1)
-    return _SQRT3 * (np.abs(4.0 * x - 2.0) - 1.0)
+def _tent_g(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # sqrt(3) (|4x-2| - 1); |4x-2| is uniform on [0,2] for x ~ U[0,1]: moments 2^k/(k+1)
+    out = np.multiply(4.0, x, out=np.empty(np.shape(x)) if out is None else out)
+    np.subtract(out, 2.0, out=out)
+    np.abs(out, out=out)
+    np.subtract(out, 1.0, out=out)
+    return np.multiply(_SQRT3, out, out=out)
 
 
 UNIFORM = FactorKind("uniform", _uniform_g, FactorMoments(0.0, 9.0 / 5.0))
@@ -136,9 +146,19 @@ class Model:
         self.dim = dim
         self.counter = EvalCounter()
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """Features (d, ...) of points (..., d), row j from x_j alone, so a blend picks rows."""
-        return np.moveaxis(x, -1, 0)
+    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Features (d, ...) of points (..., d), row j from x_j alone, so a blend picks rows.
+
+        Given ``out``, an array of the features' shape and dtype, the rows are
+        written into it and it is returned; otherwise a new array is.  Either
+        way the result never shares memory with x: the sampler refills its
+        points while it still holds their features.  The default features
+        are a copy of the transposed points.
+        """
+        if out is None:
+            return np.array(np.moveaxis(x, -1, 0))
+        np.copyto(out, np.moveaxis(x, -1, 0))
+        return out
 
     def _values(self, rows: Sequence[np.ndarray]) -> np.ndarray:
         """f from the d feature rows of points; the rows broadcast together."""
@@ -169,13 +189,13 @@ class Model:
 
 
 class _FactorProduct(Model):
-    """f(x) = prod_j h_j(x_j); a subclass gives the factor h_j as ``_factor(j, x_j)``."""
+    """f(x) = prod_j h_j(x_j); a subclass writes the factor h_j with ``_factor(j, x_j, out)``."""
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """The factor values h_j(x_j), shape (d, ...)."""
-        h = np.empty((self.dim,) + x.shape[:-1])
+    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The factor values h_j(x_j), shape (d, ...), computed in the rows of ``out``."""
+        h = np.empty((self.dim,) + x.shape[:-1]) if out is None else out
         for j in range(self.dim):
-            h[j] = self._factor(j, x[..., j])
+            self._factor(j, x[..., j], h[j, ...])  # h[j, ...] is a view even for one point
         return h
 
     def _values(self, h: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,8 +233,11 @@ class ProductModel(_FactorProduct):
         self.tau = tau
         self.kinds = tuple(resolved)
 
-    def _factor(self, j: int, xj: np.ndarray) -> np.ndarray:
-        return self.mu[j] + self.tau[j] * self.kinds[j].g(xj)
+    def _factor(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+        # mu_j + tau_j g_j(x_j)
+        self.kinds[j].g(xj, out)
+        np.multiply(self.tau[j], out, out=out)
+        np.add(self.mu[j], out, out=out)
 
     def mean(self) -> float:
         return float(np.prod(self.mu))
@@ -232,8 +255,14 @@ class GFunction(_FactorProduct):
         super().__init__(a.shape[0])
         self.a = a
 
-    def _factor(self, j: int, xj: np.ndarray) -> np.ndarray:
-        return (np.abs(4.0 * xj - 2.0) + 2.0 + 3.0 * self.a[j]) / (1.0 + self.a[j])
+    def _factor(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+        # ((|4 x_j - 2| + 2) + 3 a_j) / (1 + a_j), in this order: 2 + 3 a_j is not folded
+        np.multiply(4.0, xj, out=out)
+        np.subtract(out, 2.0, out=out)
+        np.abs(out, out=out)
+        np.add(out, 2.0, out=out)
+        np.add(out, 3.0 * self.a[j], out=out)
+        np.divide(out, 1.0 + self.a[j], out=out)
 
     def mean(self) -> float:
         # each factor has mean (1 + 2 + 3a)/(1+a) = 3
@@ -267,9 +296,11 @@ class DiscreteModel(Model):
         self.levels = table.shape[0]
         self.table = table
 
-    def features(self, x: np.ndarray) -> np.ndarray:
-        """The cell indices floor(x_j L), shape (d, ...), of points in [0, 1)^d."""
-        idx = np.floor(super().features(x) * self.levels).astype(np.int64, order="C")
+    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The cell indices floor(x_j L), shape (d, ...), of points in [0, 1)^d, as int64."""
+        cells = np.floor(np.moveaxis(x, -1, 0) * self.levels)
+        idx = np.empty(cells.shape, np.int64) if out is None else out
+        np.copyto(idx, cells, casting="unsafe")
         if np.any((idx < 0) | (idx >= self.levels)):
             raise ValueError("a discrete model takes points in [0, 1)^d only")
         return idx

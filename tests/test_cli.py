@@ -21,6 +21,11 @@ ESTIMATE_G = ["estimate", "--model", "g", "--u", "1"]
 TABLE_G = ["efficiency-table", "--benchmark", "g"]
 
 
+def no_draws(*args, **kwargs):
+    """A stand-in for ``BlockSampler.draw_role``, the one way a run draws points."""
+    raise AssertionError("drew samples before the usage checks")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -348,10 +353,39 @@ class TestEfficiencyTable:
         assert code == 2 and out == ""
         assert err.startswith(f"error: bad experiment config {cfg}:")
         assert f"'{key}'" in err
-        # without the key the kinds run, and a center runs once an oracle kind reads it
+        # without the key the kinds run, and a center runs once an oracle kind reads it;
+        # JSON output, because the CSV has no column for original
         runs = {**doc, "kinds": kinds + ["orcl1"], key: value} if key == "center" else doc
         cfg.write_text(json.dumps(runs))
-        assert run_cli(capsys, "efficiency-table", "--config", str(cfg))[0] == 0
+        assert run_cli(capsys, "efficiency-table", "--config", str(cfg), "--format", "json")[0] == 0
+
+    @pytest.mark.parametrize(
+        "source, config",
+        [
+            pytest.param("--include-original", None, id="flag"),
+            pytest.param("'kinds'", {"kinds": ["corr1", "original"]}, id="kinds"),
+            pytest.param("'include_original'", {"include_original": True}, id="include_original"),
+        ],
+    )
+    def test_original_needs_json_output(self, tmp_path, capsys, monkeypatch, source, config):
+        # the CSV schema has no original_estimate column: asking for original
+        # there would accumulate it and drop it unseen, so it exits 2 before sampling
+        if config is None:
+            argv = [*TABLE_G, "--n", "3000", "--replicates", "2", "--include-original"]
+        else:
+            cfg = tmp_path / "exp.json"
+            doc = {"model": "g", "us": [[1]], "n": 3000, "replicates": 2, "seed": 0}
+            cfg.write_text(json.dumps({**doc, **config}))
+            argv = ["efficiency-table", "--config", str(cfg)]
+        with monkeypatch.context() as patched:
+            patched.setattr(BlockSampler, "draw_role", no_draws)
+            for fmt in ([], ["--format", "csv"]):
+                code, out, err = run_cli(capsys, *argv, *fmt)
+                assert code == 2 and out == ""
+                assert source in err and "--format json" in err, err
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert "original_estimate" in json.loads(out)["rows"][0]
 
     def test_inert_coordinate_gives_undefined_efficiencies(self, tmp_path, capsys):
         # tau_3 = 0: corr1, corr2 and orcl1 terms are exact zeros at u = {3}
@@ -577,13 +611,13 @@ def test_estimate_refuses_a_flag_its_kind_does_not_take(capsys, alias, flag):
 
 @pytest.mark.parametrize("flag, value", [("--v", "1"), ("--v2", "1,2")])
 def test_blending_sets_must_miss_u(capsys, monkeypatch, flag, value):
-    def no_draws(*args):
-        raise AssertionError("drew samples before checking the flags")
-
     monkeypatch.setattr(BlockSampler, "draw_role", no_draws)
     code, out, err = run_cli(capsys, *ESTIMATE_G, "--estimator", "gen", flag, value)
     assert code == 2 and out == ""
     assert err == f"error: {flag} {{{value}}} must be disjoint from --u {{1}}\n"
+    # the stand-in does see the draws of a run that passes the checks
+    code, _, err = run_cli(capsys, *ESTIMATE_G, "--estimator", "gen", flag, "3", "--n", "10")
+    assert code == 1 and "drew samples" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -10,10 +10,13 @@ from sobolmc.core import ROLES, BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
     DEFAULT_BATCH,
     KINDS,
+    _DRAW_ROWS,
     Accumulator,
     EstimatorKind,
     _batch_terms,
+    _batches,
     _BatchEvals,
+    _resolve_center,
     accumulate_terms,
     run_estimator,
     run_multi_u,
@@ -54,8 +57,8 @@ class _Shifted(Model):
         self.inner = inner
         self.c = c
 
-    def features(self, x):
-        return self.inner.features(x)
+    def features(self, x, out=None):
+        return self.inner.features(x, out)
 
     def _values(self, features):
         return self.inner._values(features) - self.c
@@ -594,6 +597,69 @@ class TestSharedPass:
             tracemalloc.stop()
         rows = peak / (DEFAULT_BATCH * 8)
         assert rows < 3 * model.dim + 10, rows
+
+    @pytest.mark.parametrize("tag", ["correlation2", "generalized"])
+    def test_a_pass_holds_one_batch_at_a_time(self, tag):
+        # three batches of one set: the roles' feature rows are refilled in
+        # place and the last batch's values dropped before the next draw, so
+        # the peak is one batch's d rows per role plus its values and term
+        # temporaries, not the rows and values of two batches
+        model = builtin_model("product6")
+        kind = EstimatorKind(tag)
+        u = u_of([1], model.dim)
+        run_estimator(model, kind, u, 3 * DEFAULT_BATCH, RngSpec(1))  # warm-up
+        tracemalloc.start()
+        try:
+            run_estimator(model, kind, u, 3 * DEFAULT_BATCH, RngSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = peak / (DEFAULT_BATCH * 8)
+        assert rows <= len(KINDS[tag].roles) * model.dim + 10, rows
+
+    @pytest.mark.parametrize("batch_size", [1000, _DRAW_ROWS + 5, DEFAULT_BATCH])
+    @pytest.mark.parametrize("family", ["uniform", "tent", "g", "discrete"])
+    def test_refilled_batches_equal_fresh_ones(self, family, batch_size):
+        # the pass refills one set of feature rows, drawing each role chunk by
+        # chunk; a fresh sampler and a fresh _BatchEvals per batch must give
+        # the same rows and the same accumulators, short last batch included
+        model = {
+            "uniform": ProductModel([1.5], [0.5], "uniform"),
+            "tent": ProductModel([1.5], [0.5], "tent"),
+            "g": GFunction([2.0]),
+            "discrete": random_discrete(4, levels=5, dims=1),
+        }[family]
+        n, rng = 2 * batch_size + 7, RngSpec(8, 1)
+        us = [IndexSet.empty(1), IndexSet.full(1)]
+        fresh = BlockSampler(rng, 1)
+        sizes = []
+        for ev in _batches(model, ROLES, us, n, rng, batch_size):
+            b = ev.features["x"].shape[-1]
+            want = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
+            for role in ROLES:
+                got, ref = ev.features[role], want.features[role]
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), role
+            sizes.append(b)
+        assert sizes == [batch_size, batch_size, 7]
+
+        kinds = [EstimatorKind(tag) for tag in KINDS]
+        accs, _ = accumulate_terms(model, kinds, us, n, rng, batch_size)
+        want = {(kind, u): Accumulator() for kind in kinds for u in us}
+        fx, fb = Accumulator(), {u: Accumulator() for u in us}
+        fresh = BlockSampler(rng, 1)
+        for b in sizes:
+            ev = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
+            fx.add_batch(ev.plain("x"))
+            for u in us:
+                fb[u].add_batch(ev.blended("x", "y", u))
+                for kind in kinds:
+                    want[kind, u].add_batch(_batch_terms(ev, kind, u, _resolve_center(model, kind)))
+        for (kind, u), ref in want.items():
+            got = accs[kind][u]
+            # original keeps its cross term and the means of f(x) and f(x_u#y_-u)
+            pairs = zip(got, (ref, fx, fb[u])) if kind.tag == "original" else [(got, ref)]
+            for a, r in pairs:
+                assert (a.n, a.mean, a.m2) == (r.n, r.mean, r.m2), (kind.tag, str(u))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())

@@ -101,6 +101,81 @@ class TestEvaluate:
             assert abs(vals.mean() - model.mean()) < 4 * se
 
 
+def literal_features(model, x):
+    """Feature rows as one whole-array expression per coordinate, the reference
+    the in-place rows must match bit for bit (2 + 3a is never folded)."""
+    xs = np.moveaxis(x, -1, 0)
+    if isinstance(model, GFunction):
+        a = model.a
+        rows = [(np.abs(4.0 * xs[j] - 2.0) + 2.0 + 3.0 * a[j]) / (1.0 + a[j]) for j in range(model.dim)]
+    elif isinstance(model, ProductModel):
+        shapes = {
+            "uniform": lambda t: math.sqrt(12.0) * (t - 0.5),
+            "tent": lambda t: math.sqrt(3.0) * (np.abs(4.0 * t - 2.0) - 1.0),
+        }
+        rows = [
+            model.mu[j] + model.tau[j] * shapes[model.kinds[j].name](xs[j]) for j in range(model.dim)
+        ]
+    elif isinstance(model, DiscreteModel):
+        return np.floor(xs * model.levels).astype(np.int64)
+    else:
+        return xs.copy()
+    return np.array(rows)
+
+
+FEATURE_MODELS = {
+    "uniform": ProductModel([1.0, 0.5, -2.0], [1.0, 0.3, 0.7], "uniform"),
+    "tent": ProductModel([1.0, 0.5, -2.0], [1.0, 0.3, 0.7], "tent"),
+    "g": GFunction([0.3, 1.7, 9.1]),
+    "discrete": DiscreteModel(np.arange(27.0).reshape(3, 3, 3)),
+    "base": models.Model(3),
+}
+
+
+def feature_inputs():
+    """Points of every shape a model is featurized on, by name (d = 3)."""
+    # not multiples of 2^-53 as sampled points are, on which |4x-2| + 2 is
+    # exact: here a reordered sum rounds differently
+    gen = np.random.default_rng(11)
+    mids = (np.stack(np.unravel_index(np.arange(27), (3, 3, 3)), axis=-1) + 0.5) / 3
+    return {
+        "point": (gen.random(3) + 0.1) / 1.3,
+        "batch": (gen.random((41, 3)) + 0.1) / 1.3,
+        # the exact oracle's midpoints, all 27 states along one role axis
+        **{f"grid-axis-{k}": mids.reshape((1,) * k + (27,) + (1,) * (2 - k) + (3,)) for k in range(3)},
+    }
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("shape", list(feature_inputs()))
+    @pytest.mark.parametrize("family", list(FEATURE_MODELS))
+    def test_out_rows_equal_fresh_rows(self, family, shape):
+        model, x = FEATURE_MODELS[family], feature_inputs()[shape]
+        want, ref = model.features(x), literal_features(model, x)
+        assert want.dtype == ref.dtype and want.tobytes() == ref.tobytes()
+        out = np.full(want.shape, 7, want.dtype)
+        got = model.features(x, out=out)
+        assert got is out and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(want, x) and not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("family", list(FEATURE_MODELS))
+    def test_chunks_fill_a_slice_of_longer_rows(self, family):
+        # a short last batch refills rows[:, :b] of the rows a longer batch
+        # allocated, chunk by chunk; the columns past b are left as they were
+        model, x = FEATURE_MODELS[family], feature_inputs()["batch"]
+        want = model.features(x)
+        rows = np.full((3, 64), 7, want.dtype)
+        model.features(x[:16], out=rows[:, :16])
+        model.features(x[16:], out=rows[:, 16 : len(x)])
+        assert rows[:, : len(x)].tobytes() == want.tobytes()
+        assert np.all(rows[:, len(x) :] == 7)
+
+    def test_discrete_rows_are_range_checked(self):
+        out = np.empty(3, np.int64)
+        with pytest.raises(ValueError, match=r"\[0, 1\)\^d"):
+            FEATURE_MODELS["discrete"].features(np.array([0.5, 1.0, 0.2]), out=out)
+
+
 class TestProductAnova:
     def test_variance_of_product6(self):
         rep = product_anova(builtin_model("product6"))
