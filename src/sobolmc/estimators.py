@@ -202,11 +202,11 @@ class _BatchEvals:
     A sampling pass (``_batches``) keeps one instance for all its batches:
     its ``features`` are views of role rows the pass refills in place, and
     its values are dropped before the next batch is drawn.
-    The exact oracle passes grid midpoints with each role on its own axis,
-    so a value spans only the axes of the roles it reads and a count is
-    the number of distinct states evaluated; the oracle forms the two
-    term factors with ``_term_factors`` and contracts them over the grid
-    without building it.
+    The exact oracle keeps one instance per call over grid midpoints, one
+    role per axis, and reads it set by set as a pass does.  A value spans
+    only the axes of the roles it reads, and a count is the number of
+    distinct states evaluated; ``_term_factors`` forms the two factors,
+    which the oracle contracts over the grid without building it.
     """
 
     def __init__(self, model: Model, points: Iterable[tuple[str, np.ndarray]]) -> None:
@@ -305,13 +305,13 @@ def _batches(
     """The streaming loop every runner shares: n samples in batch_size chunks.
 
     It yields one ``_BatchEvals`` per batch, the same object refilled each
-    time, so a caller is done with a batch when it asks for the next.  The
-    first batch draws each role whole and the model allocates the role's
-    feature rows (int64 cell indices for a table).  Later batches draw each
-    role in chunks of at most ``_DRAW_ROWS`` points into one reused array
-    and write the features into the same rows, ``rows[:, :b]``; the previous
-    batch's values are dropped first.  So a pass holds one batch, not two.
-    The buffers are local to the call, so replicate workers share none.
+    time, so a caller is done with a batch when it asks for the next.  Each
+    role's feature rows are allocated once, at the first batch's width and
+    in the dtype the model's features take.  Every batch drops the previous
+    batch's values, then draws each role in chunks of at most ``_DRAW_ROWS``
+    points into one reused array and writes the features into the same
+    rows, ``rows[:, :b]``.  So a pass holds one batch, not two.  The buffers
+    are local to the call, so replicate workers share none.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -326,22 +326,19 @@ def _batches(
         repeated = next(u for k, u in enumerate(us) if u in us[:k])
         raise ValueError(f"target set {repeated} is repeated")
     sampler = BlockSampler(rng, model.dim)
-    rows: dict[str, np.ndarray] = {}  # each role's feature rows, allocated by the first batch
-    # the later batches' draw chunks: no rows when the first batch holds all n
-    draw = np.empty((min(_DRAW_ROWS, batch_size, max(n - batch_size, 0)), model.dim))
+    draw = np.empty((min(_DRAW_ROWS, batch_size, n), model.dim))
+    dtype = model.features(draw[:0]).dtype  # int64 cell indices for a table
+    rows = {role: np.empty((model.dim, min(batch_size, n)), dtype) for role in roles}
     ev = _BatchEvals(model, ())
     done = 0
     while done < n:
         b = min(batch_size, n - done)
         ev._cache.clear()  # the previous batch's values go before this batch is drawn
-        for role in roles:
-            if not done:
-                rows[role] = model.features(sampler.draw_role(role, b))
-            else:  # the stream continues chunk by chunk, so the points are the same
-                for start in range(0, b, len(draw)):
-                    stop = min(start + len(draw), b)
-                    points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
-                    model.features(points, out=rows[role][:, start:stop])
+        for role in roles:  # the stream continues chunk by chunk, so the points are the same
+            for start in range(0, b, len(draw)):
+                stop = min(start + len(draw), b)
+                points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
+                model.features(points, out=rows[role][:, start:stop])
             ev.features[role] = rows[role][:, :b]
         yield ev
         done += b

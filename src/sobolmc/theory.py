@@ -20,23 +20,24 @@ which agrees with the exact value exactly when m1_j m3_j = m2_j^2 for
 every coordinate outside v (e.g. constant factors, or mu_j = tau_j
 factors with symmetric shapes) and is a monotone surrogate otherwise.
 
-``enumerate_expectation`` is the brute-force oracle: for tabulated models
-it computes the exact mean of the sampler's own per-sample term over all
+``enumerate_expectations`` is the brute-force oracle: for tabulated models
+it computes the exact mean of the sampler's own per-sample terms over all
 joint grid states of the 2-4 input vectors.  It feeds the cell midpoints
-of every state to the sampler's ``_BatchEvals``, one role per grid axis,
-so the feature blends, table lookups and ``_term_factors`` it checks are
-the code that samples.  It contracts the term's two factors over the grid
-without building it: each factor is summed over the axes only it spans.
+of every state to one ``_BatchEvals``, one role per grid axis, and reads
+every kind from it set by set like a sampling pass, so the feature blends,
+table lookups and ``_term_factors`` it checks are the code that samples.
+It never builds the grid: each factor is summed over the axes only it spans.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import IndexSet, pick_rows
+from .core import ROLES, DimensionError, IndexSet, pick_rows
 from .estimators import KINDS, EstimatorKind, _BatchEvals, _resolve_center, _term_factors
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
@@ -176,38 +177,54 @@ def _grid_mean(left: np.ndarray, right: np.ndarray) -> float:
     return math.fsum(parts.ravel().tolist()) / size
 
 
+def enumerate_expectations(
+    model: DiscreteModel,
+    kinds: Sequence[EstimatorKind],
+    us: Sequence[IndexSet],
+    budget: int = MAX_STATES,
+) -> dict[EstimatorKind, dict[IndexSet, float]]:
+    """Exact mean of each kind's per-sample term for each set u, over all grid states.
+
+    Averages a term over every joint state of the input vectors its kind
+    consumes (m^2 .. m^4 states for m = levels^dim), which is the
+    distribution induced by uniform sampling of the piecewise-constant
+    model.  Oracle centers default to the exact table mean.  Raises
+    BudgetError when a kind needs more than ``budget`` states.
+    """
+    for u in us:
+        if u.dim != model.dim:
+            raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
+    m = model.levels**model.dim
+    for kind in kinds:
+        states = m ** len(KINDS[kind.tag].roles)
+        if states > budget:
+            raise BudgetError(
+                f"{kind.tag} enumeration needs {states} joint states, budget is {budget}"
+            )
+
+    # role k reads the cell midpoints of all m states along its own axis k,
+    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend,
+    # table lookup and term factor spans only the axes of the roles it reads
+    roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
+    cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
+    mids = (cells + 0.5) / model.levels
+    ev = _BatchEvals(model, [
+        (role, mids.reshape((1,) * k + (m,) + (1,) * (len(roles) - 1 - k) + (model.dim,)))
+        for k, role in enumerate(roles)
+    ])
+    means = {kind: {} for kind in kinds}
+    for u in us:  # set by set, so the grid holds the blends over one set at a time
+        for kind in kinds:
+            means[kind][u] = _grid_mean(*_term_factors(ev, kind, u, _resolve_center(model, kind)))
+        ev.release(u)
+    return means
+
+
 def enumerate_expectation(
     model: DiscreteModel,
     kind: EstimatorKind,
     u: IndexSet,
     budget: int = MAX_STATES,
 ) -> float:
-    """Exact mean of a per-sample term over all grid states.
-
-    Averages the term over every joint state of the input vectors the kind
-    consumes (m^2 .. m^4 states for m = levels^dim), which is the
-    distribution induced by uniform sampling of the piecewise-constant
-    model.  Oracle centers default to the exact table mean.  Raises
-    BudgetError when that is more than ``budget`` states.
-    """
-    if u.dim != model.dim:
-        raise ValueError(f"set {u} has dimension {u.dim}, model has {model.dim}")
-    m = model.levels**model.dim
-    roles = KINDS[kind.tag].roles
-    n_roles = len(roles)
-    states = m**n_roles
-    if states > budget:
-        raise BudgetError(
-            f"{kind.tag} enumeration needs {states} joint states, budget is {budget}"
-        )
-
-    # role k reads the cell midpoints of all m states along its own axis k,
-    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend,
-    # table lookup and term factor spans only the axes of the roles it reads
-    cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
-    mids = (cells + 0.5) / model.levels
-    ev = _BatchEvals(model, [
-        (role, mids.reshape((1,) * k + (m,) + (1,) * (n_roles - 1 - k) + (model.dim,)))
-        for k, role in enumerate(roles)
-    ])
-    return _grid_mean(*_term_factors(ev, kind, u, _resolve_center(model, kind)))
+    """``enumerate_expectations`` for one kind and one set u."""
+    return enumerate_expectations(model, [kind], [u], budget)[kind][u]

@@ -11,15 +11,16 @@ so the suite can check, with no sampling error, that
 * the original estimator's cross moment enumerates to mu^2 + lower_u,
 * the expanded Q factors equal the literal squared differences.
 
-The enumerations run the sampler's own ``_BatchEvals`` (feature blends,
-table lookups and ``_term_factors``) on the grid midpoints and contract
-the two factors over every joint grid state without building the grid,
-so a wrong term, blend or lookup shows up here.  Any violation is
-reported on the ledger and fails the suite.
+Each target set takes one run of the sampler's own ``_BatchEvals``
+(feature blends, table lookups and ``_term_factors``) on the grid
+midpoints for every kind it checks, which contracts each term's two
+factors over all joint grid states without building the grid, so a wrong
+term, blend or lookup shows up here.  Any violation fails the suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .core import IndexSet, blend
 from .estimators import KINDS, EstimatorKind
 from .models import BudgetError, DiscreteModel, ProductModel, discrete_anova
-from .theory import MAX_STATES, enumerate_expectation, q_uv, q_v
+from .theory import MAX_STATES, enumerate_expectations, q_uv, q_v
 
 REL_TOL = 1e-10
 Q_TOL = 1e-12
@@ -83,38 +84,23 @@ def _check_enumerations(
     budget: int,
     trial: int,
 ) -> None:
-    d = model.dim
     mu = model.mean()
-    for u in IndexSet.full(d).subsets():
-        if len(u) == 0:
-            continue
-        lower, upper = report.lower_u[u], report.upper_u[u]
-        plain_kinds = [
-            (EstimatorKind("correlation1"), lower),
-            (EstimatorKind("correlation2"), lower),
-            (EstimatorKind("oracle1", center=mu), lower),
-            (EstimatorKind("oracle2", center=mu), lower),
-            (EstimatorKind("upper"), upper),
-        ]
-        for kind, want in plain_kinds:
-            got = enumerate_expectation(model, kind, u, budget)
-            ledger.check(_rel_err(got, want) < REL_TOL, f"trial {trial}: E[{kind.tag}] at u={u}")
-
-        got = enumerate_expectation(model, EstimatorKind("original"), u, budget)
-        ledger.check(
-            _rel_err(got, mu**2 + lower) < REL_TOL,
-            f"trial {trial}: E[original cross moment] at u={u}",
-        )
-
-        comp = u.complement()
-        for v in comp.subsets():
-            for v2 in comp.subsets():
-                kind = EstimatorKind("generalized", v=v, v2=v2)
-                got = enumerate_expectation(model, kind, u, budget)
-                ledger.check(
-                    _rel_err(got, lower) < REL_TOL,
-                    f"trial {trial}: E[generalized v={v} v2={v2}] at u={u}",
-                )
+    for u in list(IndexSet.full(model.dim).subsets())[1:]:  # every nonempty set
+        lower, comp = report.lower_u[u], u.complement()
+        table = {
+            EstimatorKind("correlation1"): (lower, "E[correlation1]"),
+            EstimatorKind("correlation2"): (lower, "E[correlation2]"),
+            EstimatorKind("oracle1", center=mu): (lower, "E[oracle1]"),
+            EstimatorKind("oracle2", center=mu): (lower, "E[oracle2]"),
+            EstimatorKind("upper"): (report.upper_u[u], "E[upper]"),
+            EstimatorKind("original"): (mu**2 + lower, "E[original cross moment]"),
+        }
+        for v, v2 in itertools.product(comp.subsets(), repeat=2):
+            kind = EstimatorKind("generalized", v=v, v2=v2)
+            table[kind] = (lower, f"E[generalized v={v} v2={v2}]")
+        got = enumerate_expectations(model, list(table), [u], budget)
+        for kind, (want, label) in table.items():
+            ledger.check(_rel_err(got[kind][u], want) < REL_TOL, f"trial {trial}: {label} at u={u}")
 
 
 def _check_q_identities(ledger: _Ledger, rng: np.random.Generator, trial: int) -> None:

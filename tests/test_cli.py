@@ -512,6 +512,23 @@ class TestVerify:
         assert code == 0
         assert "[PASS]" in out
 
+    def test_one_grid_per_target_set(self, monkeypatch):
+        # one oracle call per nonempty set of a 3-d trial, each featurizing
+        # its grid once per role: 4 (2^3 - 1) = 28 calls, not one per kind
+        from sobolmc import models
+        from sobolmc.verification import verify_suite
+
+        calls = []
+        real_features = models.DiscreteModel.features
+
+        def spy(self, x, out=None):
+            calls.append(x.shape)
+            return real_features(self, x, out)
+
+        monkeypatch.setattr(models.DiscreteModel, "features", spy)
+        assert verify_suite(levels=3, dims=3, trials=1, log=None) is True
+        assert len(calls) <= 4 * (2**3 - 1), len(calls)
+
     @pytest.mark.parametrize(
         "part, tag",
         [

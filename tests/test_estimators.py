@@ -617,21 +617,33 @@ class TestSharedPass:
         rows = peak / (DEFAULT_BATCH * 8)
         assert rows <= len(KINDS[tag].roles) * model.dim + 10, rows
 
-    @pytest.mark.parametrize("batch_size", [1000, _DRAW_ROWS + 5, DEFAULT_BATCH])
-    @pytest.mark.parametrize("family", ["uniform", "tent", "g", "discrete"])
-    def test_refilled_batches_equal_fresh_ones(self, family, batch_size):
-        # the pass refills one set of feature rows, drawing each role chunk by
-        # chunk; a fresh sampler and a fresh _BatchEvals per batch must give
-        # the same rows and the same accumulators, short last batch included
+    @pytest.mark.parametrize(
+        "batch_size, n",
+        [  # two full batches and a short one, then single-batch passes
+            pytest.param(1000, 2007, id="1000"),
+            pytest.param(_DRAW_ROWS + 5, 2 * _DRAW_ROWS + 17, id=str(_DRAW_ROWS + 5)),
+            pytest.param(DEFAULT_BATCH, 2 * DEFAULT_BATCH + 7, id=str(DEFAULT_BATCH)),
+            pytest.param(1000, 1, id="1000-n1"),
+            pytest.param(1000, 1000, id="1000-n1000"),
+            pytest.param(DEFAULT_BATCH, _DRAW_ROWS + 1, id=f"{DEFAULT_BATCH}-n{_DRAW_ROWS + 1}"),
+        ],
+    )
+    @pytest.mark.parametrize("family", ["uniform", "tent", "g", "discrete", "product6"])
+    def test_refilled_batches_equal_fresh_ones(self, family, batch_size, n):
+        # the pass fills one set of feature rows, drawing each role chunk by
+        # chunk, first batch included; a fresh sampler and a fresh _BatchEvals
+        # per batch must give the same rows and the same accumulators, single
+        # and short last batches included
         model = {
             "uniform": ProductModel([1.5], [0.5], "uniform"),
             "tent": ProductModel([1.5], [0.5], "tent"),
             "g": GFunction([2.0]),
             "discrete": random_discrete(4, levels=5, dims=1),
+            "product6": builtin_model("product6"),
         }[family]
-        n, rng = 2 * batch_size + 7, RngSpec(8, 1)
-        us = [IndexSet.empty(1), IndexSet.full(1)]
-        fresh = BlockSampler(rng, 1)
+        rng = RngSpec(8, 1)
+        us = [IndexSet.empty(model.dim), IndexSet.full(model.dim)]
+        fresh = BlockSampler(rng, model.dim)
         sizes = []
         for ev in _batches(model, ROLES, us, n, rng, batch_size):
             b = ev.features["x"].shape[-1]
@@ -640,13 +652,13 @@ class TestSharedPass:
                 got, ref = ev.features[role], want.features[role]
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), role
             sizes.append(b)
-        assert sizes == [batch_size, batch_size, 7]
+        assert sizes == [min(batch_size, n - done) for done in range(0, n, batch_size)]
 
         kinds = [EstimatorKind(tag) for tag in KINDS]
         accs, _ = accumulate_terms(model, kinds, us, n, rng, batch_size)
         want = {(kind, u): Accumulator() for kind in kinds for u in us}
         fx, fb = Accumulator(), {u: Accumulator() for u in us}
-        fresh = BlockSampler(rng, 1)
+        fresh = BlockSampler(rng, model.dim)
         for b in sizes:
             ev = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
             fx.add_batch(ev.plain("x"))

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
+from sobolmc.core import BlockSampler, DimensionError, IndexSet, RngSpec, blend
 from sobolmc.estimators import KINDS, EstimatorKind, accumulate_terms
 from sobolmc.models import (
     BudgetError,
@@ -23,6 +24,7 @@ from sobolmc.theory import (
     diff_fourth_moment,
     diff_fourth_moment_proxy,
     enumerate_expectation,
+    enumerate_expectations,
     q_uv,
     q_v,
 )
@@ -343,6 +345,44 @@ class TestEnumerateExpectation:
         enumerate_expectation(model, EstimatorKind("correlation1"), u_of([1], 2))
         assert model.counter.count == 4 + 4 + 16
 
+    def test_one_call_evaluates_each_state_once_for_every_kind(self):
+        # correlation1 and correlation2 share f(x), f(y) and f(x_u#y_-u); only
+        # correlation2's f(z_u#x_-u) is new, on the 16 states of its own axes
+        model = DiscreteModel(np.random.default_rng(5).random((2, 2)))
+        kinds = [EstimatorKind("correlation1"), EstimatorKind("correlation2")]
+        enumerate_expectations(model, kinds, [u_of([1], 2)])
+        assert model.counter.count == 4 + 4 + 16 + 16
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_call_equals_one_call_per_kind_and_set(self, data):
+        # every set, every kind, pinned and default centers and every (v, v2):
+        # a kind read from the shared grid gives the single call's mean exactly
+        d = data.draw(st.integers(1, 3))
+        levels = data.draw(st.integers(2, 3))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        model = DiscreteModel(np.random.default_rng(seed).normal(size=(levels,) * d))
+        center = data.draw(st.floats(-3.0, 3.0))
+        plain = [EstimatorKind(tag) for tag in KINDS] + [
+            EstimatorKind("oracle1", center=center),
+            EstimatorKind("oracle2", center=center),
+        ]
+        us = list(IndexSet.full(d).subsets())
+        shared = enumerate_expectations(model, plain, us)
+        for u in us:
+            comp = u.complement()
+            pairs = [
+                EstimatorKind("generalized", v=v, v2=v2)
+                for v in comp.subsets()
+                for v2 in comp.subsets()
+            ]
+            per_set = enumerate_expectations(model, plain + pairs, [u])
+            for kind in plain + pairs:
+                single = enumerate_expectation(model, kind, u)
+                assert per_set[kind][u] == single, (kind, u)
+                if kind in shared:
+                    assert shared[kind][u] == single, (kind, u)
+
     def test_budget_refusal(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
         with pytest.raises(BudgetError, match="budget"):
@@ -356,7 +396,14 @@ class TestEnumerateExpectation:
         with pytest.raises(ValueError, match="disjoint"):
             enumerate_expectation(model, EstimatorKind("generalized", v=u), u)
 
-    def test_dimension_mismatch(self):
+    def test_dimension_mismatch(self, monkeypatch):
+        # refused as the sampler refuses it, before any grid is featurized
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
+        monkeypatch.setattr(model, "features", lambda *args, **kw: pytest.fail("grid built"))
+        kind = EstimatorKind("correlation1")
         with pytest.raises(ValueError):
-            enumerate_expectation(model, EstimatorKind("correlation1"), u_of([1], 3))
+            enumerate_expectation(model, kind, u_of([1], 3))
+        with pytest.raises(DimensionError, match="dimension 3, model has 2"):
+            enumerate_expectation(model, kind, u_of([1], 3))
+        with pytest.raises(DimensionError):
+            enumerate_expectations(model, [kind], [u_of([1], 2), u_of([1], 3)])
