@@ -83,7 +83,12 @@ def _check_flags(args, *finite: str, **bounds: int) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
+    """value with every non-finite float, however nested, as None: JSON has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
@@ -99,9 +104,7 @@ def _write(text: str, out: str | None) -> None:
 def _emit(records: list[dict], fmt: str, out: str | None) -> None:
     """Write records as a JSON list or a CSV table with a header row."""
     if fmt == "json":
-        text = json.dumps(
-            [{k: _jsonable(v) for k, v in rec.items()} for rec in records], indent=2
-        )
+        text = json.dumps(_jsonable(records), indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, list(records[0]), lineterminator="\n")
@@ -213,7 +216,7 @@ def _cmd_efficiency_table(args) -> int:
     table = run_efficiency_experiment(config)
 
     if args.format == "json":
-        text = json.dumps(table.as_dict(), indent=2)
+        text = json.dumps(_jsonable(table.as_dict()), indent=2, allow_nan=False)
     else:
         text = csv_text(table).rstrip("\n")
     _write(text, args.out)

@@ -117,12 +117,19 @@ class Accumulator:
         self.m2 = m2
 
     def add_batch(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        self._add(np.asarray(values, dtype=np.float64).reshape(-1), None)
+
+    def _add(self, values: np.ndarray, dev: np.ndarray | None) -> None:
+        """Add a flat float64 batch, its deviations formed in ``dev``.
+
+        ``dev`` is a buffer of the batch's size, or values itself when the
+        caller owns them, or None for a new array.
+        """
         k = values.size
         if k == 0:
             return
         bmean = float(values.mean())
-        dev = values - bmean  # squared in place: x ** 2 is x * x
+        dev = np.subtract(values, bmean, out=dev)  # squared in place: x ** 2 is x * x
         bm2 = float(np.sum(np.multiply(dev, dev, out=dev)))
         self._combine(k, bmean, bm2)
 
@@ -188,6 +195,68 @@ class EstimateReport:
 # streaming runners
 
 
+_ALIGN = 64  # bytes: a cache line, and the alignment AVX-512 loads and stores want
+
+
+def _aligned(nbytes: int) -> np.ndarray:
+    """A new uint8 array of nbytes whose data starts on an ``_ALIGN``-byte boundary."""
+    raw = np.empty(nbytes + _ALIGN, np.uint8)
+    start = -raw.__array_interface__["data"][0] % _ALIGN
+    return raw[start : start + nbytes]
+
+
+class _Workspace:
+    """The 64-byte-aligned buffers of one sampling pass, kept for the next pass.
+
+    ``array(name, shape, dtype)`` keeps one C-order array per name (the draw
+    chunk, each role's rows) and grows it only when asked for more bytes.
+    ``lend(b)`` hands out a batch-wide float64 buffer, a view of the first
+    b of ``width`` elements, and ``give`` takes it back for the next
+    ``lend``, so the spare buffers number the most a pass held at once.
+    """
+
+    def __init__(self) -> None:
+        self.width = 0
+        self._arrays: dict[str, np.ndarray] = {}
+        self._spare: list[np.ndarray] = []
+        self._lent: dict[int, np.ndarray] = {}  # id of a lent view -> its buffer
+
+    def fit(self, width: int) -> None:
+        """Make every value buffer at least ``width`` float64 long."""
+        if width > self.width:
+            self.width = width
+            self._spare.clear()
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._arrays[name] = _aligned(nbytes)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+    def lend(self, b: int) -> np.ndarray:
+        buf = self._spare.pop() if self._spare else _aligned(8 * self.width).view(np.float64)
+        view = buf[:b]
+        self._lent[id(view)] = buf
+        return view
+
+    def give(self, view: np.ndarray) -> None:
+        self._spare.append(self._lent.pop(id(view)))
+
+
+#: workspaces of finished passes; a pass pops one or builds its own, so
+#: concurrent passes never share one (list pop and append are atomic)
+_SPARE: list[_Workspace] = []
+
+
+def _pop_spare() -> _Workspace:
+    try:
+        return _SPARE.pop()
+    except IndexError:  # none left, or another thread took the last
+        return _Workspace()
+
+
 class _BatchEvals:
     """Caches the function values of one sample batch by blend signature.
 
@@ -196,12 +265,16 @@ class _BatchEvals:
     copied.  A full blend is the plain left point, an empty one the plain
     right point; each distinct signature is evaluated once and counted once
     per point, and its values are read-only, because every term of the
-    batch shares them.
+    batch shares them.  ``subtract`` and ``multiply`` form the term
+    factors; ``fold`` adds a term to an accumulator and ends its
+    temporaries.
     ``release(u)`` frees the blends over u once every term of set u is
     formed; only set u's terms read them.
-    A sampling pass (``_batches``) keeps one instance for all its batches:
-    its ``features`` are views of role rows the pass refills in place, and
-    its values are dropped before the next batch is drawn.
+    A sampling pass (``_batches``) keeps one instance for all its batches,
+    over a ``_Workspace``: its ``features`` are views of role rows the pass
+    refills in place, a count is the batch length, and every value and
+    temporary is a workspace buffer, handed back by ``release``, ``fold``
+    and the next batch.  Without a workspace each array is a new one.
     The exact oracle keeps one instance per call over grid midpoints, one
     role per axis, and reads it set by set as a pass does.  A value spans
     only the axes of the roles it reads, and a count is the number of
@@ -209,19 +282,32 @@ class _BatchEvals:
     which the oracle contracts over the grid without building it.
     """
 
-    def __init__(self, model: Model, points: Iterable[tuple[str, np.ndarray]]) -> None:
+    def __init__(
+        self,
+        model: Model,
+        points: Iterable[tuple[str, np.ndarray]],
+        workspace: _Workspace | None = None,
+    ) -> None:
         self.model = model
         self.features = {role: model.features(x) for role, x in points}
         self._cache: dict[tuple, np.ndarray] = {}
+        self._ws = workspace
+        self._b = 0  # the batch length, on a workspace
+        self._temps: list[np.ndarray] = []
 
     def _value(self, key: tuple, rows: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
-        if key not in self._cache:
+        value = self._cache.get(key)
+        if value is None:
             picked = rows()
-            self.model.counter.add(math.prod(np.broadcast_shapes(*(r.shape for r in picked))))
-            value = self.model._values(picked)
+            if self._ws is None:
+                self.model.counter.add(math.prod(np.broadcast_shapes(*(r.shape for r in picked))))
+                value = self.model._values(picked)
+            else:
+                self.model.counter.add(self._b)
+                value = self.model._values(picked, out=self._ws.lend(self._b))
             value.flags.writeable = False  # shared by every term that reads it
             self._cache[key] = value
-        return self._cache[key]
+        return value
 
     def plain(self, role: str) -> np.ndarray:
         return self._value((role,), lambda: self.features[role])
@@ -236,10 +322,49 @@ class _BatchEvals:
             lambda: pick_rows(self.features[role_a], self.features[role_b], u),
         )
 
+    def _temp(self) -> np.ndarray | None:
+        """A workspace buffer for one temporary of the current term; None without one."""
+        if self._ws is None:
+            return None
+        self._temps.append(self._ws.lend(self._b))
+        return self._temps[-1]
+
+    def subtract(self, a, b) -> np.ndarray:
+        return np.subtract(a, b, out=self._temp())
+
+    def multiply(self, a, b) -> np.ndarray:
+        return np.multiply(a, b, out=self._temp())
+
+    def fold(self, acc: Accumulator, values: np.ndarray) -> None:
+        """``acc.add_batch(values)``, then the term's temporaries end.
+
+        The deviations overwrite values when it is a temporary and go to a
+        new temporary when it is a shared value.
+        """
+        acc._add(values, values if values.flags.writeable else self._temp())
+        self._end_temps()
+
+    def _end_temps(self) -> None:
+        for temp in self._temps:
+            self._ws.give(temp)
+        self._temps.clear()
+
     def release(self, u: IndexSet) -> None:
         """Drop the cached blends over u; plain values stay."""
         for key in [k for k in self._cache if len(k) == 3 and k[2] == u.bits]:
-            del self._cache[key]
+            self._drop(key)
+
+    def _drop(self, key: tuple) -> None:
+        value = self._cache.pop(key)
+        if self._ws is not None:
+            self._ws.give(value)
+
+    def _start(self, b: int) -> None:
+        """Drop every value and temporary of the previous batch and take batches of b points."""
+        for key in list(self._cache):
+            self._drop(key)
+        self._end_temps()
+        self._b = b
 
 
 def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
@@ -251,17 +376,20 @@ def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     only the axes of the roles it reads.  ``original`` yields its raw cross
     moment f(x) f(x_u#y_-u).
     """
-    tag = kind.tag
+    tag, sub = kind.tag, ev.subtract
     if tag == "correlation1":
-        return ev.plain("x"), ev.blended("x", "y", u) - ev.plain("y")
+        return ev.plain("x"), sub(ev.blended("x", "y", u), ev.plain("y"))
     if tag == "correlation2":
         # both factors are centered by a pick-freeze value, so each one
         # vanishes per sample when f does not depend on the u coordinates
-        return ev.plain("x") - ev.blended("z", "x", u), ev.blended("x", "y", u) - ev.plain("y")
+        return (
+            sub(ev.plain("x"), ev.blended("z", "x", u)),
+            sub(ev.blended("x", "y", u), ev.plain("y")),
+        )
     if tag == "oracle1":
-        return ev.plain("x") - center, ev.blended("x", "y", u) - ev.plain("y")
+        return sub(ev.plain("x"), center), sub(ev.blended("x", "y", u), ev.plain("y"))
     if tag == "oracle2":  # expectation lower_u needs c = mu; oracle1's holds for any c
-        return ev.plain("x") - center, ev.blended("x", "y", u) - center
+        return sub(ev.plain("x"), center), sub(ev.blended("x", "y", u), center)
     if tag == "generalized":
         # v = v2 = complement(u) with the u part of w taken from y is correlation2
         v = kind.v if kind.v is not None else u.complement()
@@ -269,12 +397,12 @@ def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
         if not v.isdisjoint(u) or not v2.isdisjoint(u):
             raise ValueError(f"v={v} and v2={v2} must be disjoint from u={u}")
         return (
-            ev.plain("x") - ev.blended("x", "z", v),
-            ev.blended("x", "y", u) - ev.blended("y", "w", v2),
+            sub(ev.plain("x"), ev.blended("x", "z", v)),
+            sub(ev.blended("x", "y", u), ev.blended("y", "w", v2)),
         )
     if tag == "upper":
-        diff = ev.plain("x") - ev.blended("y", "x", u)
-        return 0.5 * diff, diff
+        diff = sub(ev.plain("x"), ev.blended("y", "x", u))
+        return ev.multiply(0.5, diff), diff
     if tag == "original":
         return ev.plain("x"), ev.blended("x", "y", u)
     raise ValueError(f"no term for {tag!r}")
@@ -283,9 +411,9 @@ def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
 def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     """Per-sample terms of ``kind`` for target set u."""
     left, right = _term_factors(ev, kind, u, center)
-    # a fresh right factor takes the product in place, as numpy reuses a
-    # temporary within one expression; a new batch array per term is slower
-    return np.multiply(left, right, out=right) if right.flags.writeable else left * right
+    # a right factor formed for this term takes the product in place, as numpy
+    # reuses a temporary within one expression; a new batch array per term is slower
+    return np.multiply(left, right, out=right if right.flags.writeable else ev._temp())
 
 
 def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:
@@ -305,13 +433,22 @@ def _batches(
     """The streaming loop every runner shares: n samples in batch_size chunks.
 
     It yields one ``_BatchEvals`` per batch, the same object refilled each
-    time, so a caller is done with a batch when it asks for the next.  Each
-    role's feature rows are allocated once, at the first batch's width and
-    in the dtype the model's features take.  Every batch drops the previous
-    batch's values, then draws each role in chunks of at most ``_DRAW_ROWS``
-    points into one reused array and writes the features into the same
-    rows, ``rows[:, :b]``.  So a pass holds one batch, not two.  The buffers
-    are local to the call, so replicate workers share none.
+    time, so a caller is done with a batch when it asks for the next: a
+    batch's arrays are valid only until then, or until the pass ends.
+    Every batch drops the previous batch's values, then draws each role in
+    chunks of at most ``_DRAW_ROWS`` points into one reused array and
+    writes the features into the same rows, ``rows[:, :b]``.  So a pass
+    holds one batch, not two.
+    All of it lives in one ``_Workspace``: the draw chunk, each role's d
+    feature rows (in the dtype the model's features take, each row padded
+    to a 64-byte stride), the cached values, the term factors and products
+    and the deviations ``fold`` forms.  Every buffer starts on a 64-byte
+    boundary.  The pass pops a workspace that an earlier pass left on
+    ``_SPARE``, or builds one, and pushes it back when it ends, so
+    replicate passes, studies and ``estimate`` calls reuse the same memory
+    and concurrent passes each hold their own.  A spare keeps what its
+    widest pass held at once; a pass wider than ``DEFAULT_BATCH`` builds
+    its own and leaves nothing behind.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -325,23 +462,35 @@ def _batches(
     if len(set(us)) < len(us):  # one accumulator per set would take its batches twice
         repeated = next(u for k, u in enumerate(us) if u in us[:k])
         raise ValueError(f"target set {repeated} is repeated")
-    sampler = BlockSampler(rng, model.dim)
-    draw = np.empty((min(_DRAW_ROWS, batch_size, n), model.dim))
-    dtype = model.features(draw[:0]).dtype  # int64 cell indices for a table
-    rows = {role: np.empty((model.dim, min(batch_size, n)), dtype) for role in roles}
-    ev = _BatchEvals(model, ())
-    done = 0
-    while done < n:
-        b = min(batch_size, n - done)
-        ev._cache.clear()  # the previous batch's values go before this batch is drawn
-        for role in roles:  # the stream continues chunk by chunk, so the points are the same
-            for start in range(0, b, len(draw)):
-                stop = min(start + len(draw), b)
-                points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
-                model.features(points, out=rows[role][:, start:stop])
-            ev.features[role] = rows[role][:, :b]
-        yield ev
-        done += b
+    width = min(batch_size, n)
+    kept = width <= DEFAULT_BATCH
+    ws = _pop_spare() if kept else _Workspace()
+    ws.fit(width)
+    ev = _BatchEvals(model, (), ws)
+    try:
+        sampler = BlockSampler(rng, model.dim)
+        draw = ws.array("draw", (min(_DRAW_ROWS, width), model.dim), np.float64)
+        dtype = model.features(draw[:0]).dtype  # int64 cell indices for a table
+        pad = _ALIGN // dtype.itemsize
+        stride = -(-width // pad) * pad
+        rows = {role: ws.array(role, (model.dim, stride), dtype)[:, :width] for role in roles}
+        done = 0
+        while done < n:
+            b = min(batch_size, n - done)
+            ev._start(b)  # the previous batch's values go before this batch is drawn
+            for role in roles:  # the stream continues chunk by chunk, so the points are the same
+                for start in range(0, b, len(draw)):
+                    stop = min(start + len(draw), b)
+                    points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
+                    model.features(points, out=rows[role][:, start:stop])
+                ev.features[role] = rows[role][:, :b]
+            yield ev
+            done += b
+    finally:
+        ev._start(0)
+        ev.features.clear()
+        if kept:
+            _SPARE.append(ws)
 
 
 def accumulate_terms(
@@ -369,12 +518,12 @@ def accumulate_terms(
     start = model.counter.count
     for ev in _batches(model, roles, us, n, rng, batch_size):
         if original in accs:
-            fx.add_batch(ev.plain("x"))
+            ev.fold(fx, ev.plain("x"))
         for u in us:  # set by set, so a batch holds only the blends over one set
             for kind, per_set in accs.items():
-                per_set[u].add_batch(_batch_terms(ev, kind, u, centers[kind]))
+                ev.fold(per_set[u], _batch_terms(ev, kind, u, centers[kind]))
             if original in accs:
-                fb[u].add_batch(ev.blended("x", "y", u))
+                ev.fold(fb[u], ev.blended("x", "y", u))
             ev.release(u)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}

@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -160,8 +161,12 @@ class Model:
         np.copyto(out, np.moveaxis(x, -1, 0))
         return out
 
-    def _values(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """f from the d feature rows of points; the rows broadcast together."""
+    def _values(self, rows: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        """f from the d feature rows of points; the rows broadcast together.
+
+        Given ``out``, a float64 array of the points' shape, f is written
+        there and it is returned; otherwise a new array is, or a row itself.
+        """
         raise NotImplementedError
 
     def evaluate(self, x) -> float | np.ndarray:
@@ -198,12 +203,17 @@ class _FactorProduct(Model):
             self._factor(j, x[..., j], h[j, ...])  # h[j, ...] is a view even for one point
         return h
 
-    def _values(self, h: Sequence[np.ndarray]) -> np.ndarray:
-        # left to right, j = 1..d, as np.prod(axis=-1) multiplies, into one
-        # fresh array: a row may be a view of cached features, so none is written
+    def _values(self, h: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+        # left to right, j = 1..d, as np.prod(axis=-1) multiplies, into out or
+        # one fresh array: a row may be a view of cached features, so none is written
         if len(h) == 1:
-            return h[0]
-        out = np.multiply(h[0], h[1], out=np.empty(np.broadcast_shapes(*(r.shape for r in h))))
+            if out is None:
+                return h[0]
+            np.copyto(out, h[0])
+            return out
+        if out is None:
+            out = np.empty(np.broadcast_shapes(*(r.shape for r in h)))
+        np.multiply(h[0], h[1], out=out)
         for row in h[2:]:
             np.multiply(out, row, out=out)
         return out
@@ -280,7 +290,7 @@ class DiscreteModel(Model):
     def __init__(self, table, levels: int | None = None):
         table = np.asarray(table, dtype=np.float64)
         if levels is not None and table.ndim == 1:
-            d = round(math.log(table.size) / math.log(levels)) if table.size > 1 else 1
+            d = round(math.log(table.size) / math.log(levels)) if table.size > 1 < levels else 1
             if levels**d != table.size:
                 raise ValueError(
                     f"flat table of {table.size} values is not a {levels}^d hypercube"
@@ -305,12 +315,20 @@ class DiscreteModel(Model):
             raise ValueError("a discrete model takes points in [0, 1)^d only")
         return idx
 
-    def _values(self, idx: Sequence[np.ndarray]) -> np.ndarray:
+    def _values(self, idx: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         # the C-order flat cell index by Horner's rule over the rows j = 1..d
         flat = idx[0]
+        if out is None:
+            for row in idx[1:]:
+                flat = flat * self.levels + row
+            return self.table.reshape(-1)[flat]
+        # formed in out's memory: take reads each point's index before it
+        # writes that point's value, and "clip" (the indices are in range
+        # already) lets it write into out directly instead of a copy
         for row in idx[1:]:
-            flat = flat * self.levels + row
-        return self.table.reshape(-1)[flat]
+            flat = np.multiply(flat, self.levels, out=out.view(np.int64))
+            np.add(flat, row, out=flat)
+        return np.take(self.table.reshape(-1), flat, out=out, mode="clip")
 
     def mean(self) -> float:
         return float(self.table.mean())
@@ -438,12 +456,34 @@ _SCHEMA_KEYS = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _numbers(obj: dict, key: str):
+    """obj[key], a (possibly nested) list of finite numbers; a ValueError names the key."""
+    value = obj[key]
+    flat = value
+    while isinstance(flat, list) and flat and all(isinstance(v, list) for v in flat):
+        flat = [v for row in flat for v in row]
+    if not isinstance(flat, list):
+        raise ValueError(f"{key!r} must be a list of finite numbers, got {value!r}")
+    bad = [v for v in flat if not _is_finite_number(v)]
+    if bad:
+        raise ValueError(f"{key!r} must be a list of finite numbers, got the entry {bad[0]!r}")
+    return value
+
+
 def model_from_json(obj: dict) -> Model:
     """Build a model from its JSON configuration document.
 
     Schema: {"kind": "g-function"|"product"|"discrete", "a": [...],
     "mu": [...], "tau": [...], "g": "uniform"|"tent", "levels": L,
-    "table": [...]}.  Unknown keys are rejected.
+    "table": [...]}.  "g" is optional (default "uniform", or one name per
+    coordinate); every other key of a kind is required.  A missing or
+    unknown key, a list that is not of finite numbers, an unknown factor
+    shape or a ``levels`` that is not an integer >= 1 raises a ValueError
+    naming the key.
     """
     if not isinstance(obj, dict):
         raise ValueError("model configuration must be a JSON object")
@@ -453,11 +493,23 @@ def model_from_json(obj: dict) -> Model:
     extra = set(obj) - _SCHEMA_KEYS[kind]
     if extra:
         raise ValueError(f"unknown keys for {kind!r} model: {sorted(extra)}")
+    missing = _SCHEMA_KEYS[kind] - set(obj) - {"g"}
+    if missing:
+        raise ValueError(f"{kind!r} model needs {sorted(missing)}")
     if kind == "g-function":
-        return GFunction(obj["a"])
+        return GFunction(_numbers(obj, "a"))
     if kind == "product":
-        return ProductModel(obj["mu"], obj["tau"], obj.get("g", "uniform"))
-    return DiscreteModel(obj["table"], levels=obj["levels"])
+        g = obj.get("g", "uniform")
+        names = g if isinstance(g, list) else [g]
+        if not all(isinstance(name, str) and name in FACTOR_KINDS for name in names):
+            raise ValueError(
+                f"'g' must be one of {sorted(FACTOR_KINDS)} or a list of them, got {g!r}"
+            )
+        return ProductModel(_numbers(obj, "mu"), _numbers(obj, "tau"), g)
+    levels = obj["levels"]
+    if isinstance(levels, bool) or not isinstance(levels, Integral) or levels < 1:
+        raise ValueError(f"'levels' must be an integer >= 1, got {levels!r}")
+    return DiscreteModel(_numbers(obj, "table"), levels=levels)
 
 
 BUILTIN_MODELS = ("g", "product6")

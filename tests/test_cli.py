@@ -694,3 +694,63 @@ def test_package_runs_as_a_module():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1].startswith("[PASS]")
+
+
+def strict_json(text: str):
+    """json.loads refusing the NaN and Infinity tokens, which JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        pytest.param({"kind": "g-function"}, "'a'", id="missing-a"),
+        pytest.param({"kind": "product", "mu": [1.0]}, "'tau'", id="missing-tau"),
+        pytest.param({"kind": "discrete", "table": [1.0, 2.0]}, "'levels'", id="missing-levels"),
+        pytest.param({"kind": "discrete", "levels": True, "table": [1, 2]}, "'levels'", id="levels-true"),
+        pytest.param({"kind": "discrete", "levels": 0, "table": []}, "'levels'", id="levels-0"),
+        pytest.param({"kind": "discrete", "levels": 2.0, "table": [1, 2]}, "'levels'", id="levels-float"),
+        pytest.param({"kind": "discrete", "levels": 2, "table": "ab"}, "'table'", id="table-str"),
+        pytest.param({"kind": "discrete", "levels": 2, "table": [[1, 2], [3, None]]}, "'table'", id="table-null"),
+        pytest.param({"kind": "g-function", "a": 3}, "'a'", id="a-number"),
+        pytest.param({"kind": "g-function", "a": [1, "2"]}, "'a'", id="a-str-entry"),
+        pytest.param({"kind": "g-function", "a": [False]}, "'a'", id="a-bool"),
+        pytest.param({"kind": "product", "mu": [1.0], "tau": [1e400]}, "'tau'", id="tau-infinite"),
+        pytest.param({"kind": "product", "mu": [1], "tau": [1], "g": "foo"}, "'g'", id="g-unknown"),
+        pytest.param({"kind": "product", "mu": [1], "tau": [1], "g": 3}, "'g'", id="g-number"),
+    ],
+)
+def test_bad_model_documents_are_usage_errors(tmp_path, capsys, doc, key):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "estimate", "--model", str(path), "--u", "1", "--n", "10")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad model file {path}:") and key in err
+
+
+def test_a_flat_table_with_one_level_holds_one_cell(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"kind": "discrete", "levels": 1, "table": [1.0, 2.0]}))
+    code, _, err = run_cli(capsys, "anova", "--model", str(path))
+    assert code == 2 and "not a 1^d hypercube" in err
+    path.write_text(json.dumps({"kind": "discrete", "levels": 1, "table": [2.5]}))
+    code, out, _ = run_cli(capsys, "anova", "--model", str(path))
+    assert code == 0 and strict_json(out)[0]["mu"] == 2.5
+
+
+def test_overflowing_models_print_strict_json(tmp_path, capsys):
+    # finite parameters whose products overflow: the non-finite cells are null
+    model = {"kind": "product", "mu": [1e200, 1e200], "tau": [1.0, 1.0]}
+    path, cfg = tmp_path / "model.json", tmp_path / "exp.json"
+    path.write_text(json.dumps(model))
+    cfg.write_text(json.dumps({"model": model, "us": [[1]], "n": 100, "replicates": 2, "seed": 0}))
+    with pytest.warns(RuntimeWarning):
+        code, out, _ = run_cli(capsys, "anova", "--model", str(path))
+    assert code == 0 and strict_json(out)[0]["sigma2"] is None
+    with pytest.warns(RuntimeWarning):
+        code, out, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--format", "json")
+    assert code == 0 and strict_json(out)["rows"][0]["var_corr1"] is None

@@ -1,11 +1,14 @@
+import hashlib
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolmc import experiments
+from sobolmc import estimators, experiments
 from sobolmc.core import ROLES, BlockSampler, IndexSet, RngSpec, blend
 from sobolmc.estimators import (
     DEFAULT_BATCH,
@@ -21,7 +24,13 @@ from sobolmc.estimators import (
     run_estimator,
     run_multi_u,
 )
-from sobolmc.experiments import BUILTIN_STUDIES, COMPARED_KINDS, ExperimentConfig, csv_text
+from sobolmc.experiments import (
+    BUILTIN_STUDIES,
+    COMPARED_KINDS,
+    ExperimentConfig,
+    csv_text,
+    product6_study,
+)
 from sobolmc.models import (
     DiscreteModel,
     GFunction,
@@ -589,6 +598,7 @@ class TestSharedPass:
         us = [u_of(ix, model.dim) for ix in BUILTIN_STUDIES[name]]
         kinds = [EstimatorKind(tag) for tag in COMPARED_KINDS]
         accumulate_terms(model, kinds, us, DEFAULT_BATCH, RngSpec(1))  # warm-up
+        estimators._SPARE.clear()  # so the traced pass builds its own workspace
         tracemalloc.start()
         try:
             accumulate_terms(model, kinds, us, DEFAULT_BATCH, RngSpec(1))
@@ -608,6 +618,7 @@ class TestSharedPass:
         kind = EstimatorKind(tag)
         u = u_of([1], model.dim)
         run_estimator(model, kind, u, 3 * DEFAULT_BATCH, RngSpec(1))  # warm-up
+        estimators._SPARE.clear()  # so the traced pass builds its own workspace
         tracemalloc.start()
         try:
             run_estimator(model, kind, u, 3 * DEFAULT_BATCH, RngSpec(1))
@@ -803,6 +814,8 @@ class TestSharedPass:
             for want in (np.prod(rows.T, axis=-1), np.prod(np.ascontiguousarray(rows.T), axis=-1)):
                 assert model._values(rows).tobytes() == want.tobytes()
                 assert model._values(list(rows)).tobytes() == want.tobytes()
+                out = np.full(257, np.nan)
+                assert model._values(rows, out=out) is out and out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", range(1, 5))
     @pytest.mark.parametrize("levels", range(2, 5))
@@ -813,6 +826,9 @@ class TestSharedPass:
         want = np.ravel_multi_index(tuple(idx), (levels,) * d)
         assert np.array_equal(model._values(idx), want)
         assert np.array_equal(model._values(list(idx)), want)
+        # given out, the index is formed in out's memory and looked up in place
+        out = np.full(200, np.nan)
+        assert model._values(idx, out=out) is out and np.array_equal(out, want)
 
     @pytest.mark.parametrize("family", ["product", "g", "discrete"])
     def test_blends_never_write_to_feature_rows(self, family):
@@ -831,3 +847,176 @@ class TestSharedPass:
             ev.blended("y", "x", IndexSet(bits, d))
         for role, f in ev.features.items():
             assert f.tobytes() == before[role].tobytes(), role
+
+
+def _aligned(a: np.ndarray) -> bool:
+    return a.ctypes.data % 64 == 0
+
+
+def _batch_digest(model, kinds, us, ev) -> str:
+    """sha256 of a batch: every role's rows, then each kind's terms set by set."""
+    h = hashlib.sha256()
+    for role in sorted(ev.features):
+        h.update(ev.features[role].tobytes())
+    for u in us:
+        for kind in kinds:
+            term = _batch_terms(ev, kind, u, _resolve_center(model, kind))
+            h.update(term.tobytes())
+            ev.fold(Accumulator(), term)
+        ev.release(u)
+    return h.hexdigest()
+
+
+def _states(accs) -> list:
+    """(n, mean, m2) of every accumulator, original's three included."""
+    return [
+        [(a.n, a.mean, a.m2) for a in (acc if kind.tag == "original" else [acc])]
+        for kind, per_set in accs.items()
+        for acc in per_set.values()
+    ]
+
+
+class TestWorkspace:
+    """One reused, 64-byte-aligned workspace per concurrent sampling pass."""
+
+    EVERY_KIND = [EstimatorKind(tag) for tag in KINDS]
+
+    def test_a_warmed_study_allocates_almost_nothing(self):
+        # the second study reuses the first one's workspace: no batch array
+        # is allocated (a fresh pass peaks at about 25.6 batch rows)
+        study = dict(n=40000, replicates=2, seed=3, workers=1)
+        product6_study(**study)
+        tracemalloc.start()
+        try:
+            product6_study(**study)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = peak / (DEFAULT_BATCH * 8)
+        assert rows < 1, rows
+
+    @pytest.mark.parametrize("family", ["product6", "g", "discrete", "one-dimensional"])
+    @pytest.mark.parametrize("batch_size", [777, DEFAULT_BATCH])
+    def test_every_row_value_and_temporary_is_aligned(self, family, batch_size):
+        # rows are padded to a 64-byte stride, so a width like 777 keeps every row aligned
+        model = {
+            "product6": builtin_model("product6"),
+            "g": builtin_model("g"),
+            "discrete": random_discrete(6, levels=3, dims=3),
+            "one-dimensional": ProductModel([1.5], [0.5], "tent"),
+        }[family]
+        d = model.dim
+        us = [IndexSet(b, d) for b in sorted({0, 1, 2**d - 2, 2**d - 1})]
+        estimators._SPARE.clear()
+        for _ in range(2):  # a fresh workspace, then the same one reused
+            for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size):
+                assert all(_aligned(row) for role in ROLES for row in ev.features[role])
+                for u in us:
+                    for kind in self.EVERY_KIND:
+                        term = _batch_terms(ev, kind, u, _resolve_center(model, kind))
+                        assert _aligned(term) and all(map(_aligned, ev._temps)), kind.tag
+                        ev.fold(Accumulator(), term)
+                    assert all(map(_aligned, ev._cache.values()))
+                    ev.release(u)
+
+    def test_interleaved_passes_equal_sequential_ones(self):
+        # two generators on one thread each hold their own workspace
+        specs = [
+            (builtin_model("product6"), RngSpec(3), 1000),
+            (builtin_model("g"), RngSpec(4), 700),
+        ]
+        sets = {m.dim: [IndexSet(1, m.dim), IndexSet(2**m.dim - 2, m.dim)] for m, _, _ in specs}
+
+        def run(model, rng, batch_size):
+            return _batches(model, ROLES, sets[model.dim], 2500, rng, batch_size)
+
+        estimators._SPARE.clear()  # the first sequential pass builds a fresh workspace
+        want = [
+            [_batch_digest(m, self.EVERY_KIND, sets[m.dim], ev) for ev in run(m, rng, bs)]
+            for m, rng, bs in specs
+        ]
+        got = [[], []]
+        gens = [run(*spec) for spec in specs]
+        workspaces = set()
+        while True:
+            evs = [next(gen, None) for gen in gens]  # both batches drawn before either is read
+            if all(ev is None for ev in evs):
+                break
+            for k, ev in enumerate(evs):
+                if ev is not None:
+                    workspaces.add(id(ev._ws))
+                    model = specs[k][0]
+                    got[k].append(_batch_digest(model, self.EVERY_KIND, sets[model.dim], ev))
+        assert got == want
+        assert len(workspaces) == 2 and len(estimators._SPARE) == 2
+
+    def test_a_pass_closed_after_one_batch_gives_its_workspace_back(self):
+        model = builtin_model("product6")
+        us = [IndexSet(1, 6), IndexSet(12, 6)]
+        estimators._SPARE.clear()
+        fresh, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
+        estimators._SPARE.clear()
+        gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000)
+        ev = next(gen)
+        ev.blended("x", "y", us[0])
+        ev.subtract(ev.plain("x"), 1.0)  # a value and a temporary still lent
+        ws = ev._ws
+        gen.close()
+        assert estimators._SPARE == [ws] and not ws._lent
+        again, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
+        assert estimators._SPARE == [ws]  # taken by the next pass and given back
+        assert _states(again) == _states(fresh)
+
+    def test_a_two_worker_study_equals_one_worker(self):
+        # each worker's pass holds its own workspace, and no more are kept
+        study = dict(n=5000, replicates=3, seed=5)
+        estimators._SPARE.clear()
+        one = csv_text(product6_study(workers=1, **study))
+        two = csv_text(product6_study(workers=2, **study))
+        assert 1 <= len(estimators._SPARE) <= 2
+        again = csv_text(product6_study(workers=2, **study))
+        assert one == two == again
+        assert 1 <= len(estimators._SPARE) <= 2
+
+    def test_threads_racing_for_spares_never_share_one(self):
+        # more threads than cores, switching often: a workspace two passes
+        # held at once would mix their batches and change a result
+        model, us = builtin_model("g"), [IndexSet(1, 3), IndexSet(6, 3)]
+        kinds = [EstimatorKind(tag) for tag in COMPARED_KINDS]
+
+        def states(seed):
+            return _states(accumulate_terms(model.clone(), kinds, us, 300, RngSpec(seed), 64)[0])
+
+        want = {seed: states(seed) for seed in range(4)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(states, [seed % 4 for seed in range(40)], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[seed % 4] for seed in range(40)]
+        assert len(estimators._SPARE) <= 4 + 1  # one per thread, and the serial runs' one
+
+    def test_a_pass_wider_than_the_default_batch_leaves_no_workspace(self):
+        model, kind = builtin_model("g"), EstimatorKind("correlation2")
+        u = IndexSet(1, model.dim)
+        estimators._SPARE.clear()
+        run_estimator(model, kind, u, 1000, RngSpec(1))
+        (spare,) = estimators._SPARE
+        wide = DEFAULT_BATCH + 5
+        run_estimator(model, kind, u, wide, RngSpec(1), batch_size=wide)
+        assert estimators._SPARE == [spare] and spare.width == 1000
+        estimators._SPARE.clear()
+        run_estimator(model, kind, u, wide, RngSpec(1), batch_size=wide)
+        assert estimators._SPARE == []
+
+    def test_add_batch_never_writes_into_its_argument(self):
+        values = np.linspace(-1.0, 3.0, 101)
+        before = values.copy()
+        Accumulator().add_batch(values)
+        assert values.tobytes() == before.tobytes()
+        values.flags.writeable = False
+        acc = Accumulator()
+        acc.add_batch(values)
+        assert acc.n == 101
