@@ -268,8 +268,9 @@ class _BatchEvals:
     batch shares them.  ``subtract`` and ``multiply`` form the term
     factors; ``fold`` adds a term to an accumulator and ends its
     temporaries.
-    ``release(u)`` frees the blends over u once every term of set u is
-    formed; only set u's terms read them.
+    ``release(kinds)`` frees the blends of a set once every term of the set
+    is formed: a blend serves one set, except one over a kind's explicit v
+    or v2, which every set reads and which stays for the batch.
     A sampling pass (``_batches``) keeps one instance for all its batches,
     over a ``_Workspace``: its ``features`` are views of role rows the pass
     refills in place, a count is the batch length, and every value and
@@ -349,9 +350,11 @@ class _BatchEvals:
             self._ws.give(temp)
         self._temps.clear()
 
-    def release(self, u: IndexSet) -> None:
-        """Drop the cached blends over u; plain values stay."""
-        for key in [k for k in self._cache if len(k) == 3 and k[2] == u.bits]:
+    def release(self, kinds: Iterable[EstimatorKind]) -> None:
+        """Drop the blends of the set just done; plain values and the blends
+        over an explicit v or v2 of ``kinds`` stay."""
+        shared = {s.bits for kind in kinds for s in (kind.v, kind.v2) if s is not None}
+        for key in [k for k in self._cache if len(k) == 3 and k[2] not in shared]:
             self._drop(key)
 
     def _drop(self, key: tuple) -> None:
@@ -447,8 +450,11 @@ def _batches(
     ``_SPARE``, or builds one, and pushes it back when it ends, so
     replicate passes, studies and ``estimate`` calls reuse the same memory
     and concurrent passes each hold their own.  A spare keeps what its
-    widest pass held at once; a pass wider than ``DEFAULT_BATCH`` builds
-    its own and leaves nothing behind.
+    widest pass held at once: the draw chunk, each role's rows, and the
+    values and temporaries of one set, because every set's blends go back
+    when the set is done.  That is one pass's peak, not one per set.  A
+    pass wider than ``DEFAULT_BATCH`` builds its own and leaves nothing
+    behind.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -524,7 +530,7 @@ def accumulate_terms(
                 ev.fold(per_set[u], _batch_terms(ev, kind, u, centers[kind]))
             if original in accs:
                 ev.fold(fb[u], ev.blended("x", "y", u))
-            ev.release(u)
+            ev.release(kinds)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}
     return accs, model.counter.count - start

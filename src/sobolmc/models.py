@@ -316,18 +316,17 @@ class DiscreteModel(Model):
         return idx
 
     def _values(self, idx: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-        # the C-order flat cell index by Horner's rule over the rows j = 1..d
+        # the C-order flat cell index by Horner's rule over the rows j = 1..d.
+        # Given out, it is formed in out's memory: take reads each point's
+        # index before it writes that point's value (a test pins this
+        # overlap), and "clip" lets it write into out directly instead of a
+        # copy; ``features`` has checked every index is in range.  Without
+        # out, each step spans only the axes of the rows read so far, as the
+        # oracle's grid rows broadcast.
+        index = None if out is None else out.view(np.int64)
         flat = idx[0]
-        if out is None:
-            for row in idx[1:]:
-                flat = flat * self.levels + row
-            return self.table.reshape(-1)[flat]
-        # formed in out's memory: take reads each point's index before it
-        # writes that point's value, and "clip" (the indices are in range
-        # already) lets it write into out directly instead of a copy
         for row in idx[1:]:
-            flat = np.multiply(flat, self.levels, out=out.view(np.int64))
-            np.add(flat, row, out=flat)
+            flat = np.add(np.multiply(flat, self.levels, out=index), row, out=index)
         return np.take(self.table.reshape(-1), flat, out=out, mode="clip")
 
     def mean(self) -> float:

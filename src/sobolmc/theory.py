@@ -216,7 +216,7 @@ def enumerate_expectations(
     for u in us:  # set by set, so the grid holds the blends over one set at a time
         for kind in kinds:
             means[kind][u] = _grid_mean(*_term_factors(ev, kind, u, _resolve_center(model, kind)))
-        ev.release(u)
+        ev.release(kinds)
     return means
 
 

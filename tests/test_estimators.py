@@ -819,16 +819,23 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("d", range(1, 5))
     @pytest.mark.parametrize("levels", range(2, 5))
-    def test_horner_index_matches_ravel_multi_index(self, d, levels):
-        # a table holding its own flat index returns the Horner index itself
+    @pytest.mark.parametrize("width", [200, 3 * DEFAULT_BATCH + 7])
+    def test_horner_index_matches_ravel_multi_index(self, d, levels, width):
+        # a table holding its own flat index returns the Horner index itself;
+        # the index is formed in out's memory and np.take reads it there while
+        # it writes the values, so a numpy whose take stops reading index k
+        # before writing value k fails here, at any width
         model = DiscreteModel(np.arange(levels**d, dtype=np.float64).reshape((levels,) * d))
-        idx = np.random.default_rng(10 * d + levels).integers(0, levels, size=(d, 200))
+        idx = np.random.default_rng(10 * d + levels).integers(0, levels, size=(d, width))
         want = np.ravel_multi_index(tuple(idx), (levels,) * d)
         assert np.array_equal(model._values(idx), want)
         assert np.array_equal(model._values(list(idx)), want)
-        # given out, the index is formed in out's memory and looked up in place
-        out = np.full(200, np.nan)
+        out = np.full(width, np.nan)
         assert model._values(idx, out=out) is out and np.array_equal(out, want)
+        # the oracle's rows each span one axis of a grid they broadcast to
+        axes = [np.arange(levels).reshape((levels,) + (1,) * (d - 1 - j)) for j in range(d)]
+        grid = np.arange(levels**d).reshape((levels,) * d)
+        assert np.array_equal(model._values(axes), grid)
 
     @pytest.mark.parametrize("family", ["product", "g", "discrete"])
     def test_blends_never_write_to_feature_rows(self, family):
@@ -863,7 +870,7 @@ def _batch_digest(model, kinds, us, ev) -> str:
             term = _batch_terms(ev, kind, u, _resolve_center(model, kind))
             h.update(term.tobytes())
             ev.fold(Accumulator(), term)
-        ev.release(u)
+        ev.release(kinds)
     return h.hexdigest()
 
 
@@ -917,7 +924,7 @@ class TestWorkspace:
                         assert _aligned(term) and all(map(_aligned, ev._temps)), kind.tag
                         ev.fold(Accumulator(), term)
                     assert all(map(_aligned, ev._cache.values()))
-                    ev.release(u)
+                    ev.release(self.EVERY_KIND)
 
     def test_interleaved_passes_equal_sequential_ones(self):
         # two generators on one thread each hold their own workspace
@@ -1010,6 +1017,20 @@ class TestWorkspace:
         estimators._SPARE.clear()
         run_estimator(model, kind, u, wide, RngSpec(1), batch_size=wide)
         assert estimators._SPARE == []
+
+    def test_a_many_set_pass_keeps_what_a_one_set_pass_keeps(self):
+        # the generalized kind's blends over complement(u) go with set u, so
+        # a pass over all 63 sets of product6 leaves a workspace no larger
+        # than a one-set pass does, not two blends per set
+        model, kind = builtin_model("product6"), EstimatorKind("generalized")
+        every = [IndexSet(bits, model.dim) for bits in range(1, 2**model.dim)]
+        kept = []
+        for us in (every[:1], every):
+            estimators._SPARE.clear()
+            run_multi_u(model, kind, us, 2000, RngSpec(1), 1000)
+            (ws,) = estimators._SPARE
+            kept.append((len(ws._spare), sum(a.nbytes for a in ws._arrays.values())))
+        assert kept[1] == kept[0] and kept[0][0] <= 8, kept
 
     def test_add_batch_never_writes_into_its_argument(self):
         values = np.linspace(-1.0, 3.0, 101)
