@@ -819,19 +819,19 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("d", range(1, 5))
     @pytest.mark.parametrize("levels", range(2, 5))
-    @pytest.mark.parametrize("width", [200, 3 * DEFAULT_BATCH + 7])
-    def test_horner_index_matches_ravel_multi_index(self, d, levels, width):
+    def test_horner_index_matches_ravel_multi_index(self, d, levels):
         # a table holding its own flat index returns the Horner index itself;
         # the index is formed in out's memory and np.take reads it there while
         # it writes the values, so a numpy whose take stops reading index k
         # before writing value k fails here, at any width
         model = DiscreteModel(np.arange(levels**d, dtype=np.float64).reshape((levels,) * d))
-        idx = np.random.default_rng(10 * d + levels).integers(0, levels, size=(d, width))
-        want = np.ravel_multi_index(tuple(idx), (levels,) * d)
-        assert np.array_equal(model._values(idx), want)
-        assert np.array_equal(model._values(list(idx)), want)
-        out = np.full(width, np.nan)
-        assert model._values(idx, out=out) is out and np.array_equal(out, want)
+        for width in (200, 3 * DEFAULT_BATCH + 7):
+            idx = np.random.default_rng(10 * d + levels).integers(0, levels, size=(d, width))
+            want = np.ravel_multi_index(tuple(idx), (levels,) * d)
+            assert np.array_equal(model._values(idx), want)
+            assert np.array_equal(model._values(list(idx)), want)
+            out = np.full(width, np.nan)
+            assert model._values(idx, out=out) is out and np.array_equal(out, want)
         # the oracle's rows each span one axis of a grid they broadcast to
         axes = [np.arange(levels).reshape((levels,) + (1,) * (d - 1 - j)) for j in range(d)]
         grid = np.arange(levels**d).reshape((levels,) * d)
