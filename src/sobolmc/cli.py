@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import inspect
 import io
 import json
@@ -270,7 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_anova.add_argument("--u", default=None, help="restrict to one set")
     p_anova.set_defaults(func=_cmd_anova)
 
-    p_eff = sub.add_parser("efficiency-table", help="replicated efficiency benchmark")
+    p_eff = sub.add_parser(
+        "efficiency-table",
+        help="replicated efficiency benchmark",
+        description="Replicated efficiency benchmark.  Each se_eff_* column is the delete-one "
+        "jackknife standard error of that efficiency over the R replicates; read it with "
+        "a t distribution on R - 1 degrees of freedom (t_{R-1}), not a normal.",
+    )
     add_common(p_eff, "csv")
     defaults = {k: p.default for k, p in inspect.signature(builtin_config).parameters.items()}
     p_eff.add_argument("--seed", type=int, default=None, help=f"stream seed (default {defaults['seed']})")
@@ -296,9 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser ``main`` builds once per process and reuses: building one
+#: costs far more than parsing a command line with it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, BudgetError, ValueError, DimensionError) as exc:

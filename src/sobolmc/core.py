@@ -49,6 +49,8 @@ class IndexSet:
         for j in indices:
             if not 1 <= j <= dim:
                 raise ValueError(f"coordinate {j} out of range for dimension {dim}")
+            if bits >> (j - 1) & 1:
+                raise ValueError(f"coordinate {j} is repeated")
             bits |= 1 << (j - 1)
         return cls(bits, dim)
 

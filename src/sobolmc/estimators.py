@@ -128,9 +128,10 @@ class Accumulator:
         k = values.size
         if k == 0:
             return
-        bmean = float(values.mean())
+        # np.add.reduce is the sum values.mean() and np.sum take, without their wrappers
+        bmean = float(np.add.reduce(values) / k)
         dev = np.subtract(values, bmean, out=dev)  # squared in place: x ** 2 is x * x
-        bm2 = float(np.sum(np.multiply(dev, dev, out=dev)))
+        bm2 = float(np.add.reduce(np.multiply(dev, dev, out=dev)))
         self._combine(k, bmean, bm2)
 
     def merge(self, other: "Accumulator") -> None:
@@ -266,8 +267,8 @@ class _BatchEvals:
     right point; each distinct signature is evaluated once and counted once
     per point, and its values are read-only, because every term of the
     batch shares them.  ``subtract`` and ``multiply`` form the term
-    factors; ``fold`` adds a term to an accumulator and ends its
-    temporaries.
+    factors and ``product`` the term; ``fold`` adds a term to an
+    accumulator and ends its temporaries.
     ``release(kinds)`` frees the blends of a set once every term of the set
     is formed: a blend serves one set, except one over a kind's explicit v
     or v2, which every set reads and which stays for the batch.
@@ -301,8 +302,8 @@ class _BatchEvals:
         if value is None:
             picked = rows()
             if self._ws is None:
-                self.model.counter.add(math.prod(np.broadcast_shapes(*(r.shape for r in picked))))
                 value = self.model._values(picked)
+                self.model.counter.add(value.size)  # the points the rows broadcast to
             else:
                 self.model.counter.add(self._b)
                 value = self.model._values(picked, out=self._ws.lend(self._b))
@@ -335,6 +336,15 @@ class _BatchEvals:
 
     def multiply(self, a, b) -> np.ndarray:
         return np.multiply(a, b, out=self._temp())
+
+    def product(self, left, right) -> np.ndarray:
+        """A term's left * right factors.
+
+        A right factor formed for this term takes the product in place, as
+        numpy reuses a temporary within one expression; a new batch array per
+        term is slower.
+        """
+        return np.multiply(left, right, out=right if right.flags.writeable else self._temp())
 
     def fold(self, acc: Accumulator, values: np.ndarray) -> None:
         """``acc.add_batch(values)``, then the term's temporaries end.
@@ -370,13 +380,39 @@ class _BatchEvals:
         self._b = b
 
 
+class _RowReads:
+    """Stands in for a ``_BatchEvals`` to find the feature rows a pass reads.
+
+    Run through the same per-batch body as the pass, before anything is
+    drawn, it notes in ``rows`` a bitmask per role of the coordinates some
+    value reads.  It computes nothing: every value and factor is None.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self._full = (1 << dim) - 1
+        self.rows: dict[str, int] = {}
+
+    def plain(self, role: str) -> None:
+        self.rows[role] = self.rows.get(role, 0) | self._full
+
+    def blended(self, role_a: str, role_b: str, u: IndexSet) -> None:
+        self.rows[role_a] = self.rows.get(role_a, 0) | u.bits
+        self.rows[role_b] = self.rows.get(role_b, 0) | u.bits ^ self._full
+
+    def subtract(self, *args) -> None:
+        """Forms nothing; so do ``multiply``, ``product``, ``fold`` and ``release``."""
+
+    multiply = product = fold = release = subtract
+
+
 def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     """The two factors of ``kind``'s per-sample term for target set u.
 
     The one place each kind's algebra is written: the term is left * right.
     ``ev`` is a ``_BatchEvals`` over a sample batch or, in the exact oracle,
     over the grid midpoints with one role per axis, where each factor spans
-    only the axes of the roles it reads.  ``original`` yields its raw cross
+    only the axes of the roles it reads; or a ``_RowReads``, which notes the
+    rows the factors read.  ``original`` yields its raw cross
     moment f(x) f(x_u#y_-u).
     """
     tag, sub = kind.tag, ev.subtract
@@ -413,10 +449,7 @@ def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
 
 def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     """Per-sample terms of ``kind`` for target set u."""
-    left, right = _term_factors(ev, kind, u, center)
-    # a right factor formed for this term takes the product in place, as numpy
-    # reuses a temporary within one expression; a new batch array per term is slower
-    return np.multiply(left, right, out=right if right.flags.writeable else ev._temp())
+    return ev.product(*_term_factors(ev, kind, u, center))
 
 
 def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:
@@ -432,6 +465,7 @@ def _batches(
     n: int,
     rng: RngSpec,
     batch_size: int,
+    reads: dict[str, int],
 ) -> Iterator[_BatchEvals]:
     """The streaming loop every runner shares: n samples in batch_size chunks.
 
@@ -441,7 +475,10 @@ def _batches(
     Every batch drops the previous batch's values, then draws each role in
     chunks of at most ``_DRAW_ROWS`` points into one reused array and
     writes the features into the same rows, ``rows[:, :b]``.  So a pass
-    holds one batch, not two.
+    holds one batch, not two.  Every role is drawn in full, so the streams
+    never change, but only the rows ``reads`` names (a bitmask per role, as
+    ``_RowReads`` notes them) are featurized; the others hold whatever they
+    held.
     All of it lives in one ``_Workspace``: the draw chunk, each role's d
     feature rows (in the dtype the model's features take, each row padded
     to a 64-byte stride), the cached values, the term factors and products
@@ -476,10 +513,14 @@ def _batches(
     try:
         sampler = BlockSampler(rng, model.dim)
         draw = ws.array("draw", (min(_DRAW_ROWS, width), model.dim), np.float64)
-        dtype = model.features(draw[:0]).dtype  # int64 cell indices for a table
+        dtype = model.feature_dtype
         pad = _ALIGN // dtype.itemsize
         stride = -(-width // pad) * pad
         rows = {role: ws.array(role, (model.dim, stride), dtype)[:, :width] for role in roles}
+        picked = {  # the rows to featurize, 0-based
+            role: [j for j in range(model.dim) if reads.get(role, 0) >> j & 1]
+            for role in roles
+        }
         done = 0
         while done < n:
             b = min(batch_size, n - done)
@@ -488,7 +529,8 @@ def _batches(
                 for start in range(0, b, len(draw)):
                     stop = min(start + len(draw), b)
                     points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
-                    model.features(points, out=rows[role][:, start:stop])
+                    if picked[role]:
+                        model.features(points, out=rows[role][:, start:stop], rows=picked[role])
                 ev.features[role] = rows[role][:, :b]
             yield ev
             done += b
@@ -521,8 +563,8 @@ def accumulate_terms(
     original = EstimatorKind("original")
     fx, fb = Accumulator(), {u: Accumulator() for u in us}
     roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
-    start = model.counter.count
-    for ev in _batches(model, roles, us, n, rng, batch_size):
+
+    def fold_batch(ev) -> None:
         if original in accs:
             ev.fold(fx, ev.plain("x"))
         for u in us:  # set by set, so a batch holds only the blends over one set
@@ -531,6 +573,12 @@ def accumulate_terms(
             if original in accs:
                 ev.fold(fb[u], ev.blended("x", "y", u))
             ev.release(kinds)
+
+    reads = _RowReads(model.dim)
+    fold_batch(reads)  # so the pass featurizes only the rows some value reads
+    start = model.counter.count
+    for ev in _batches(model, roles, us, n, rng, batch_size, reads.rows):
+        fold_batch(ev)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}
     return accs, model.counter.count - start

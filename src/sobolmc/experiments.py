@@ -407,7 +407,10 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     # "mean" becomes None, which ExperimentConfig cannot tell from no key at all
     if "center" in obj and all(t in KINDS and "center" not in KINDS[t].params for t in tags):
         raise ValueError("'center' has no effect: no kind in 'kinds' takes a center")
-    sets = tuple(IndexSet.from_indices(ix, model.dim) for ix in us)
+    try:
+        sets = tuple(IndexSet.from_indices(ix, model.dim) for ix in us)
+    except ValueError as exc:
+        raise ValueError(f"'us': {exc}") from exc
     return ExperimentConfig(
         model=model,
         us=sets,

@@ -140,6 +140,8 @@ class Model:
     """Base class: a deterministic function on [0,1)^d with eval counting."""
 
     dim: int
+    #: the dtype of every feature row
+    feature_dtype = np.dtype(np.float64)
 
     def __init__(self, dim: int) -> None:
         if not 1 <= dim <= MAX_DIM:
@@ -147,19 +149,27 @@ class Model:
         self.dim = dim
         self.counter = EvalCounter()
 
-    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def features(
+        self, x: np.ndarray, out: np.ndarray | None = None, rows: Iterable[int] | None = None
+    ) -> np.ndarray:
         """Features (d, ...) of points (..., d), row j from x_j alone, so a blend picks rows.
 
-        Given ``out``, an array of the features' shape and dtype, the rows are
-        written into it and it is returned; otherwise a new array is.  Either
-        way the result never shares memory with x: the sampler refills its
-        points while it still holds their features.  The default features
-        are a copy of the transposed points.
+        Given ``out``, an array of the features' shape and ``feature_dtype``,
+        the rows are written into it and it is returned; otherwise a new
+        array is.  ``rows`` names the rows to write, 0-based (default all);
+        the others are not written, so a new array leaves them unset.  The
+        result never shares memory with x: the sampler refills its points
+        while it still holds their features.
         """
         if out is None:
-            return np.array(np.moveaxis(x, -1, 0))
-        np.copyto(out, np.moveaxis(x, -1, 0))
+            out = np.empty((self.dim,) + x.shape[:-1], self.feature_dtype)
+        for j in range(self.dim) if rows is None else rows:
+            self._feature(j, x[..., j], out[j, ...])  # out[j, ...] is a view even for one point
         return out
+
+    def _feature(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+        """Write feature row j of the points' coordinates x_j into out; by default x_j itself."""
+        np.copyto(out, xj)
 
     def _values(self, rows: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         """f from the d feature rows of points; the rows broadcast together.
@@ -194,14 +204,7 @@ class Model:
 
 
 class _FactorProduct(Model):
-    """f(x) = prod_j h_j(x_j); a subclass writes the factor h_j with ``_factor(j, x_j, out)``."""
-
-    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The factor values h_j(x_j), shape (d, ...), computed in the rows of ``out``."""
-        h = np.empty((self.dim,) + x.shape[:-1]) if out is None else out
-        for j in range(self.dim):
-            self._factor(j, x[..., j], h[j, ...])  # h[j, ...] is a view even for one point
-        return h
+    """f(x) = prod_j h_j(x_j); a subclass writes the factor h_j with ``_feature(j, x_j, out)``."""
 
     def _values(self, h: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         # left to right, j = 1..d, as np.prod(axis=-1) multiplies, into out or
@@ -227,6 +230,9 @@ class ProductModel(_FactorProduct):
         tau = np.asarray(tau, dtype=np.float64)
         if mu.ndim != 1 or mu.shape != tau.shape:
             raise DimensionError("mu and tau must be 1-d arrays of equal length")
+        for name, values in (("mu", mu), ("tau", tau)):
+            if not np.all(np.isfinite(values)):  # NaN < 0 is false, so check this first
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if np.any(tau < 0.0):
             raise ValueError("tau must be nonnegative")
         super().__init__(mu.shape[0])
@@ -243,7 +249,7 @@ class ProductModel(_FactorProduct):
         self.tau = tau
         self.kinds = tuple(resolved)
 
-    def _factor(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+    def _feature(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
         # mu_j + tau_j g_j(x_j)
         self.kinds[j].g(xj, out)
         np.multiply(self.tau[j], out, out=out)
@@ -260,12 +266,14 @@ class GFunction(_FactorProduct):
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 1:
             raise DimensionError("a must be a 1-d array")
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"importance parameters a must be finite, got {a.tolist()}")
         if np.any(a < 0.0):
             raise ValueError("importance parameters a_j must be nonnegative")
         super().__init__(a.shape[0])
         self.a = a
 
-    def _factor(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+    def _feature(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
         # ((|4 x_j - 2| + 2) + 3 a_j) / (1 + a_j), in this order: 2 + 3 a_j is not folded
         np.multiply(4.0, xj, out=out)
         np.subtract(out, 2.0, out=out)
@@ -287,6 +295,8 @@ class DiscreteModel(Model):
     equal-weight distribution over grid states exactly.
     """
 
+    feature_dtype = np.dtype(np.int64)  # cell indices
+
     def __init__(self, table, levels: int | None = None):
         table = np.asarray(table, dtype=np.float64)
         if levels is not None and table.ndim == 1:
@@ -306,21 +316,24 @@ class DiscreteModel(Model):
         self.levels = table.shape[0]
         self.table = table
 
-    def features(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The cell indices floor(x_j L), shape (d, ...), of points in [0, 1)^d, as int64."""
-        cells = np.floor(np.moveaxis(x, -1, 0) * self.levels)
-        idx = np.empty(cells.shape, np.int64) if out is None else out
-        np.copyto(idx, cells, casting="unsafe")
-        if np.any((idx < 0) | (idx >= self.levels)):
+    def _feature(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
+        """The cell indices floor(x_j L) of points in [0, 1), as int64."""
+        # x_j L is floored in out's own memory and cast in place: numpy
+        # assigns overlapping arrays as if they did not overlap, and casts a
+        # 1-d row, as the sampler's are, element by element without a copy
+        cells = out.view(np.float64)
+        np.multiply(xj, self.levels, out=cells)
+        np.floor(cells, out=cells)
+        out[...] = cells
+        if out.view(np.uint64).max() >= self.levels:  # a negative index reads as a huge one
             raise ValueError("a discrete model takes points in [0, 1)^d only")
-        return idx
 
     def _values(self, idx: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
         # the C-order flat cell index by Horner's rule over the rows j = 1..d.
         # Given out, it is formed in out's memory: take reads each point's
         # index before it writes that point's value (a test pins this
         # overlap), and "clip" lets it write into out directly instead of a
-        # copy; ``features`` has checked every index is in range.  Without
+        # copy; ``_feature`` has checked every index is in range.  Without
         # out, each step spans only the axes of the rows read so far, as the
         # oracle's grid rows broadcast.
         index = None if out is None else out.view(np.int64)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sobolmc
+from sobolmc import cli
 from sobolmc.cli import main
 from sobolmc.core import BlockSampler
 from sobolmc.estimators import TAG_OF_ALIAS
@@ -754,3 +755,69 @@ def test_overflowing_models_print_strict_json(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         code, out, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--format", "json")
     assert code == 0 and strict_json(out)["rows"][0]["var_corr1"] is None
+
+
+@pytest.mark.parametrize("flag", ["--u", "--v", "--v2"])
+def test_a_repeated_coordinate_names_its_flag(capsys, monkeypatch, flag):
+    monkeypatch.setattr(BlockSampler, "draw_role", no_draws)
+    argv = ["estimate", "--model", "g", "--estimator", "gen", "--u", "1", flag, "2,3,2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: coordinate 2 is repeated\n"
+
+
+def test_a_repeated_coordinate_in_a_config_names_us(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(BlockSampler, "draw_role", no_draws)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"model": "g", "us": [[1, 1]], "n": 100, "replicates": 2, "seed": 0}))
+    code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: bad experiment config {cfg}: 'us': coordinate 1 is repeated\n"
+
+
+def test_efficiency_table_help_says_what_se_eff_is(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["efficiency-table", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "se_eff_* column is the delete-one jackknife standard error" in text
+    assert "over the R replicates" in text and "t_{R-1}" in text
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call; a SystemExit is an exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exit_:
+        code = exit_.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_leaks_no_state(tmp_path, capsys):
+    # one parser serves every call of a process; each call must print what
+    # the same argv prints through a freshly built parser
+    calls = [
+        ["estimate", "--model", "product6", "--u", "1", "--estimator", "orcl1", "--center", "1.5", "--n", "50"],
+        ["estimate", "--model", "product6", "--u", "1", "--estimator", "gen", "--v", "2,3", "--n", "50"],
+        ["estimate", "--model", "product6", "--u", "1", "--estimator", "orcl1", "--n", "50"],
+        ["estimate", "--model", "product6", "--u", "1", "--estimator", "gen", "--n", "50"],
+        ["estimate", "--model", "g", "--u", "1", "--n", "50", "--format", "csv"],
+        ["estimate", "--model", "g", "--n", "50"],  # exit 2: --u is required
+        ["estimate", "--model", "g", "--u", "1", "--estimator", "corr1", "--n", "50", "--seed", "3"],
+        ["estimate", "--help"],
+        ["anova", "--model", "g"],
+        ["efficiency-table", "--benchmark", "g", "--n", "100", "--replicates", "2"],
+        ["verify", "--trials", "1"],
+    ]
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert cli._parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+        assert cli._parser() is not parser
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    assert reused == fresh

@@ -34,6 +34,12 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="coordinate 0"):
             IndexSet.from_indices([0], 6)
 
+    def test_from_indices_rejects_a_repeated_coordinate(self):
+        with pytest.raises(ValueError, match="coordinate 1 is repeated"):
+            IndexSet.from_indices([1, 1], 3)
+        with pytest.raises(ValueError, match="coordinate 2 is repeated"):
+            IndexSet.parse("2,3,2", 3)
+
     def test_parse(self):
         assert IndexSet.parse("1,3", 3) == IndexSet.from_indices([1, 3], 3)
         assert IndexSet.parse("{2, 3}", 3) == IndexSet.from_indices([2, 3], 3)

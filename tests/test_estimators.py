@@ -20,6 +20,8 @@ from sobolmc.estimators import (
     _batches,
     _BatchEvals,
     _resolve_center,
+    _RowReads,
+    _term_factors,
     accumulate_terms,
     run_estimator,
     run_multi_u,
@@ -47,6 +49,11 @@ def random_discrete(seed, levels=3, dims=2):
     return DiscreteModel(rng.random((levels,) * dims))
 
 
+def every_row(model) -> dict:
+    """The row bitmasks of a pass that featurizes every row of every role."""
+    return {role: 2**model.dim - 1 for role in ROLES}
+
+
 def constant_model(dim, value=2.0):
     return DiscreteModel(np.full((2,) * dim, value))
 
@@ -65,9 +72,10 @@ class _Shifted(Model):
         super().__init__(inner.dim)
         self.inner = inner
         self.c = c
+        self.feature_dtype = inner.feature_dtype
 
-    def features(self, x, out=None):
-        return self.inner.features(x, out)
+    def _feature(self, j, xj, out):
+        self.inner._feature(j, xj, out)
 
     def _values(self, features):
         return self.inner._values(features) - self.c
@@ -302,6 +310,23 @@ class TestAccumulator:
         want = float(np.sum((values - float(values.mean())) ** 2))
         assert math.isfinite(want)
         assert np.float64(filled(values).m2).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 127, 128, 129, 1696, 7232, 8192, 32768])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_a_batch_folds_the_bits_of_mean_and_sum(self, size, strided):
+        # np.add.reduce and sum / k give the bits values.mean() and np.sum give
+        gen = np.random.default_rng(size)
+        flat = gen.normal(3.0, 2.0, 3 * size) * 10.0 ** gen.integers(-3, 3, 3 * size)
+        values = flat[::3] if strided else flat[:size]
+        mean = float(values.mean())
+        dev = values - mean
+        want = Accumulator()
+        want._combine(size, mean, float(np.sum(dev * dev)))
+        got = Accumulator()
+        got._add(values, None)
+        assert np.array([got.n, got.mean, got.m2]).tobytes() == np.array(
+            [want.n, want.mean, want.m2]
+        ).tobytes()
 
     def test_empty_merge(self):
         acc = filled([1.0, 2.0])
@@ -656,7 +681,7 @@ class TestSharedPass:
         us = [IndexSet.empty(model.dim), IndexSet.full(model.dim)]
         fresh = BlockSampler(rng, model.dim)
         sizes = []
-        for ev in _batches(model, ROLES, us, n, rng, batch_size):
+        for ev in _batches(model, ROLES, us, n, rng, batch_size, every_row(model)):
             b = ev.features["x"].shape[-1]
             want = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
             for role in ROLES:
@@ -916,7 +941,7 @@ class TestWorkspace:
         us = [IndexSet(b, d) for b in sorted({0, 1, 2**d - 2, 2**d - 1})]
         estimators._SPARE.clear()
         for _ in range(2):  # a fresh workspace, then the same one reused
-            for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size):
+            for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size, every_row(model)):
                 assert all(_aligned(row) for role in ROLES for row in ev.features[role])
                 for u in us:
                     for kind in self.EVERY_KIND:
@@ -935,7 +960,7 @@ class TestWorkspace:
         sets = {m.dim: [IndexSet(1, m.dim), IndexSet(2**m.dim - 2, m.dim)] for m, _, _ in specs}
 
         def run(model, rng, batch_size):
-            return _batches(model, ROLES, sets[model.dim], 2500, rng, batch_size)
+            return _batches(model, ROLES, sets[model.dim], 2500, rng, batch_size, every_row(model))
 
         estimators._SPARE.clear()  # the first sequential pass builds a fresh workspace
         want = [
@@ -963,7 +988,7 @@ class TestWorkspace:
         estimators._SPARE.clear()
         fresh, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
         estimators._SPARE.clear()
-        gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000)
+        gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000, every_row(model))
         ev = next(gen)
         ev.blended("x", "y", us[0])
         ev.subtract(ev.plain("x"), 1.0)  # a value and a temporary still lent
@@ -1041,3 +1066,87 @@ class TestWorkspace:
         acc = Accumulator()
         acc.add_batch(values)
         assert acc.n == 101
+
+
+#: every model family a pass featurizes, by name
+ROW_MODELS = {
+    "product6": builtin_model("product6"),
+    "g": builtin_model("g"),
+    "discrete": random_discrete(9, levels=4, dims=3),
+}
+
+
+def _target_sets(d: int) -> dict:
+    """u = empty, a singleton, a pair and the full set, each with an explicit v and v2 inside -u."""
+    pair = 0b11 << (d - 2)
+    return {
+        "empty": (0, 0b1, (1 << d) - 2),
+        "singleton": (0b10, 0b1, 0b100),
+        "pair": (pair, 0b1, (1 << (d - 2)) - 1),
+        "full": ((1 << d) - 1, 0, 0),
+    }
+
+
+def _full_featurized(model, kind, u, n, rng, batch_size) -> list:
+    """The (n, mean, m2) a pass must give, from every row of fresh batches."""
+    center = _resolve_center(model, kind)
+    acc, fx, fb = Accumulator(), Accumulator(), Accumulator()
+    fresh = BlockSampler(rng, model.dim)
+    for done in range(0, n, batch_size):
+        b = min(batch_size, n - done)
+        ev = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
+        acc.add_batch(_batch_terms(ev, kind, u, center))
+        fx.add_batch(ev.plain("x"))
+        fb.add_batch(ev.blended("x", "y", u))
+    return [(a.n, a.mean, a.m2) for a in ([acc, fx, fb] if kind.tag == "original" else [acc])]
+
+
+class TestRowReads:
+    """A pass featurizes only the feature rows some value reads."""
+
+    def test_each_kind_notes_the_rows_its_term_reads(self):
+        # u = {1} on d = 3: bit j-1 of a mask is coordinate j
+        u = IndexSet(0b001, 3)
+        want = {
+            "original": {"x": 0b111, "y": 0b110},
+            "correlation1": {"x": 0b111, "y": 0b111},
+            "correlation2": {"x": 0b111, "y": 0b111, "z": 0b001},
+            "oracle1": {"x": 0b111, "y": 0b111},
+            "oracle2": {"x": 0b111, "y": 0b110},
+            "generalized": {"x": 0b111, "y": 0b110, "z": 0b001, "w": 0b001},
+            "upper": {"x": 0b111, "y": 0b001},
+        }
+        assert set(want) == set(KINDS)
+        for tag, rows in want.items():
+            reads = _RowReads(3)
+            _term_factors(reads, EstimatorKind(tag), u, 0.0)
+            assert {role: bits for role, bits in reads.rows.items() if bits} == rows, tag
+
+    @pytest.mark.parametrize("family", list(ROW_MODELS))
+    def test_unread_rows_are_never_read(self, family):
+        # every role row of the spare workspace is NaN (a huge index in an
+        # int64 row) before each pass: a pass that read a row it did not
+        # featurize would fold a NaN or a clipped lookup
+        model = ROW_MODELS[family]
+        d, rng, n, batch_size = model.dim, RngSpec(4, 2), 2 * _DRAW_ROWS + 9, _DRAW_ROWS + 7
+        estimators._SPARE.clear()
+        accumulate_terms(model, [EstimatorKind("generalized")], [IndexSet(1, d)], n, rng, batch_size)
+        (ws,) = estimators._SPARE
+        stride = -(-batch_size // 8) * 8  # rows are padded to 64 bytes
+        skipped = 0
+        for name, (bits, v, v2) in _target_sets(d).items():
+            u = IndexSet(bits, d)
+            kinds = [EstimatorKind(tag) for tag in KINDS]
+            kinds.append(EstimatorKind("generalized", v=IndexSet(v, d), v2=IndexSet(v2, d)))
+            for kind in kinds:
+                for role in ROLES:
+                    ws._arrays[role].view(np.float64)[:] = np.nan
+                accs, _ = accumulate_terms(model, [kind], [u], n, rng, batch_size)
+                assert estimators._SPARE == [ws]
+                acc = accs[kind][u]
+                got = [(a.n, a.mean, a.m2) for a in (acc if kind.tag == "original" else [acc])]
+                want = _full_featurized(model, kind, u, n, rng, batch_size)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (name, kind)
+                rows = {r: ws._arrays[r].view(np.float64)[: d * stride] for r in KINDS[kind.tag].roles}
+                skipped += any(np.isnan(a.reshape(d, stride)[:, :batch_size]).any() for a in rows.values())
+        assert skipped >= 20, skipped  # 20 of the 32 passes skip a row; one that skips none tests nothing

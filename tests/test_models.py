@@ -175,6 +175,33 @@ class TestFeatures:
         with pytest.raises(ValueError, match=r"\[0, 1\)\^d"):
             FEATURE_MODELS["discrete"].features(np.array([0.5, 1.0, 0.2]), out=out)
 
+    @pytest.mark.parametrize("family", list(FEATURE_MODELS))
+    def test_named_rows_are_the_only_rows_written(self, family):
+        model, x = FEATURE_MODELS[family], feature_inputs()["batch"]
+        want = model.features(x)
+        out = np.full(want.shape, 7, want.dtype)
+        assert model.features(x, out=out, rows=[2, 0]) is out
+        assert out[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+        assert np.all(out[1] == 7)
+        model.features(x, out=out, rows=[])
+        assert np.all(out[1] == 7)
+
+
+class TestParametersMustBeFinite:
+    # NaN < 0 is false, so a sign check alone lets NaN through
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            pytest.param(lambda v: GFunction([1.0, v]), "a", id="a"),
+            pytest.param(lambda v: ProductModel([1.0, v], [1.0, 1.0]), "mu", id="mu"),
+            pytest.param(lambda v: ProductModel([1.0, 1.0], [1.0, v]), "tau", id="tau"),
+        ],
+    )
+    def test_a_non_finite_parameter_is_refused_by_name(self, build, name, value):
+        with pytest.raises(ValueError, match=rf"\b{name} must be finite"):
+            build(value)
+
 
 class TestProductAnova:
     def test_variance_of_product6(self):
