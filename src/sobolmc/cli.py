@@ -103,9 +103,13 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(records: list[dict], fmt: str, out: str | None) -> None:
-    """Write records as a JSON list or a CSV table with a header row."""
+    """Write records as a JSON list or a CSV table with a header row.
+
+    A non-finite number is written as JSON's null and as an empty CSV field.
+    """
+    records = _jsonable(records)
     if fmt == "json":
-        text = json.dumps(_jsonable(records), indent=2, allow_nan=False)
+        text = json.dumps(records, indent=2, allow_nan=False)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, list(records[0]), lineterminator="\n")

@@ -281,7 +281,10 @@ class _BatchEvals:
     role per axis, and reads it set by set as a pass does.  A value spans
     only the axes of the roles it reads, and a count is the number of
     distinct states evaluated; ``_term_factors`` forms the two factors,
-    which the oracle contracts over the grid without building it.
+    which the oracle contracts over the grid without building it.  Without
+    a workspace ``subtract`` also caches a difference of cached values, or
+    of a cached value and a center, so kinds and (v, v') pairs that share a
+    factor form it once; it is read-only, and ``release`` drops it.
     """
 
     def __init__(
@@ -293,6 +296,7 @@ class _BatchEvals:
         self.model = model
         self.features = {role: model.features(x) for role, x in points}
         self._cache: dict[tuple, np.ndarray] = {}
+        self._keys: dict[int, tuple] = {}  # id of a cached value -> its key
         self._ws = workspace
         self._b = 0  # the batch length, on a workspace
         self._temps: list[np.ndarray] = []
@@ -309,6 +313,7 @@ class _BatchEvals:
                 value = self.model._values(picked, out=self._ws.lend(self._b))
             value.flags.writeable = False  # shared by every term that reads it
             self._cache[key] = value
+            self._keys[id(value)] = key
         return value
 
     def plain(self, role: str) -> np.ndarray:
@@ -332,7 +337,23 @@ class _BatchEvals:
         return self._temps[-1]
 
     def subtract(self, a, b) -> np.ndarray:
-        return np.subtract(a, b, out=self._temp())
+        if self._ws is not None:
+            return np.subtract(a, b, out=self._temp())
+        key = ("-", self._key(a), self._key(b))
+        if None in key:
+            return np.subtract(a, b)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = np.subtract(a, b)
+            value.flags.writeable = False
+            self._keys[id(value)] = key
+        return value
+
+    def _key(self, operand) -> tuple | None:
+        """A cached value's key, a center's exact bits (0.0 is not -0.0), else None."""
+        if isinstance(operand, np.ndarray):
+            return self._keys.get(id(operand))
+        return ("c", float(operand).hex())
 
     def multiply(self, a, b) -> np.ndarray:
         return np.multiply(a, b, out=self._temp())
@@ -361,14 +382,15 @@ class _BatchEvals:
         self._temps.clear()
 
     def release(self, kinds: Iterable[EstimatorKind]) -> None:
-        """Drop the blends of the set just done; plain values and the blends
-        over an explicit v or v2 of ``kinds`` stay."""
+        """Drop the blends and differences of the set just done; plain values
+        and the blends over an explicit v or v2 of ``kinds`` stay."""
         shared = {s.bits for kind in kinds for s in (kind.v, kind.v2) if s is not None}
-        for key in [k for k in self._cache if len(k) == 3 and k[2] not in shared]:
+        for key in [k for k in self._cache if k[0] == "-" or len(k) == 3 and k[2] not in shared]:
             self._drop(key)
 
     def _drop(self, key: tuple) -> None:
         value = self._cache.pop(key)
+        del self._keys[id(value)]
         if self._ws is not None:
             self._ws.give(value)
 
@@ -475,10 +497,11 @@ def _batches(
     Every batch drops the previous batch's values, then draws each role in
     chunks of at most ``_DRAW_ROWS`` points into one reused array and
     writes the features into the same rows, ``rows[:, :b]``.  So a pass
-    holds one batch, not two.  Every role is drawn in full, so the streams
-    never change, but only the rows ``reads`` names (a bitmask per role, as
-    ``_RowReads`` notes them) are featurized; the others hold whatever they
-    held.
+    holds one batch, not two.  Only the rows ``reads`` names (a bitmask per
+    role, as ``_RowReads`` notes them) are featurized; the others hold
+    whatever they held.  A role with some row read is drawn in full, so its
+    stream never changes; a role with none is neither opened nor drawn,
+    which changes no other role's numbers, since each has its own stream.
     All of it lives in one ``_Workspace``: the draw chunk, each role's d
     feature rows (in the dtype the model's features take, each row padded
     to a 64-byte stride), the cached values, the term factors and products
@@ -505,6 +528,7 @@ def _batches(
     if len(set(us)) < len(us):  # one accumulator per set would take its batches twice
         repeated = next(u for k, u in enumerate(us) if u in us[:k])
         raise ValueError(f"target set {repeated} is repeated")
+    roles = [role for role in roles if reads.get(role, 0)]
     width = min(batch_size, n)
     kept = width <= DEFAULT_BATCH
     ws = _pop_spare() if kept else _Workspace()
@@ -518,8 +542,7 @@ def _batches(
         stride = -(-width // pad) * pad
         rows = {role: ws.array(role, (model.dim, stride), dtype)[:, :width] for role in roles}
         picked = {  # the rows to featurize, 0-based
-            role: [j for j in range(model.dim) if reads.get(role, 0) >> j & 1]
-            for role in roles
+            role: [j for j in range(model.dim) if reads[role] >> j & 1] for role in roles
         }
         done = 0
         while done < n:
@@ -529,8 +552,7 @@ def _batches(
                 for start in range(0, b, len(draw)):
                     stop = min(start + len(draw), b)
                     points = sampler.draw_role(role, stop - start, out=draw[: stop - start])
-                    if picked[role]:
-                        model.features(points, out=rows[role][:, start:stop], rows=picked[role])
+                    model.features(points, out=rows[role][:, start:stop], rows=picked[role])
                 ev.features[role] = rows[role][:, :b]
             yield ev
             done += b

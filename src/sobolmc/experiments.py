@@ -340,8 +340,8 @@ def product6_study(**study) -> EfficiencyTable:
 
 
 def _render(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return ""  # as cli._emit writes a non-finite number
     if isinstance(value, float) and value == 1.0:
         return "1"
     return repr(value) if isinstance(value, float) else str(value)

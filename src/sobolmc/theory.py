@@ -22,18 +22,21 @@ factors with symmetric shapes) and is a monotone surrogate otherwise.
 
 ``enumerate_expectations`` is the brute-force oracle: for tabulated models
 it computes the exact mean of the sampler's own per-sample terms over all
-joint grid states of the 2-4 input vectors.  It feeds the cell midpoints
-of every state to one ``_BatchEvals``, one role per grid axis, and reads
-every kind from it set by set like a sampling pass, so the feature blends,
-table lookups and ``_term_factors`` it checks are the code that samples.
-It never builds the grid: each factor is summed over the axes only it spans.
+joint grid states of the 2-4 input vectors.  It takes a plan, each target
+set with its own kinds, and builds one grid for it: the cell midpoints of
+every state go to one ``_BatchEvals``, one role per grid axis, which it
+reads set by set like a sampling pass, so the feature blends, table
+lookups and ``_term_factors`` it checks are the code that samples.  It
+never builds the joint grid: each factor is summed over the axes only it
+spans.  Within a set, a difference two kinds or (v, v') pairs share is
+formed once by the grid, and a shared factor's partial sum is taken once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -164,58 +167,69 @@ def argmin_v(model: ProductModel, u: IndexSet, objective: str = "proxy") -> Inde
 MAX_STATES = 10_000_000
 
 
-def _grid_mean(left: np.ndarray, right: np.ndarray) -> float:
+def _grid_mean(left: np.ndarray, right: np.ndarray, sums: dict) -> float:
     # mean of left * right over their broadcast grid without forming it: each
     # factor is summed over the axes only it spans, then the products of those
-    # partial sums are added; an axis neither spans leaves the mean unchanged
+    # partial sums are added; an axis neither spans leaves the mean unchanged.
+    # A cached (read-only) factor's sum is kept in ``sums`` with the factor, so
+    # its id stays its own, and the set's other terms reuse it
     def own_sum(a, b):
         axes = tuple(k for k in range(a.ndim) if b.shape[k] == 1 < a.shape[k])
-        return np.sum(a, axis=axes, keepdims=True)
+        if a.flags.writeable:
+            return np.sum(a, axis=axes, keepdims=True)
+        key = (id(a), axes)
+        if key not in sums:
+            sums[key] = (a, np.sum(a, axis=axes, keepdims=True))
+        return sums[key][1]
 
     parts = own_sum(left, right) * own_sum(right, left)
-    size = math.prod(np.broadcast_shapes(left.shape, right.shape))
+    size = math.prod(map(max, left.shape, right.shape))  # the broadcast shape's size
     return math.fsum(parts.ravel().tolist()) / size
 
 
 def enumerate_expectations(
     model: DiscreteModel,
-    kinds: Sequence[EstimatorKind],
-    us: Sequence[IndexSet],
+    plan: Mapping[IndexSet, Collection[EstimatorKind]],
     budget: int = MAX_STATES,
 ) -> dict[EstimatorKind, dict[IndexSet, float]]:
-    """Exact mean of each kind's per-sample term for each set u, over all grid states.
+    """Exact mean of each set's kinds' per-sample terms, over all grid states.
 
+    ``plan`` maps each target set u to the kinds to enumerate for it.
     Averages a term over every joint state of the input vectors its kind
     consumes (m^2 .. m^4 states for m = levels^dim), which is the
     distribution induced by uniform sampling of the piecewise-constant
-    model.  Oracle centers default to the exact table mean.  Raises
-    BudgetError when a kind needs more than ``budget`` states.
+    model.  Oracle centers default to the exact table mean.  Returns
+    ``{kind: {u: mean}}``.  Raises BudgetError when a kind needs more than
+    ``budget`` states.
     """
-    for u in us:
+    for u in plan:
         if u.dim != model.dim:
             raise DimensionError(f"set {u} has dimension {u.dim}, model has {model.dim}")
     m = model.levels**model.dim
-    for kind in kinds:
-        states = m ** len(KINDS[kind.tag].roles)
+    tags = dict.fromkeys(kind.tag for kinds in plan.values() for kind in kinds)
+    for tag in tags:
+        states = m ** len(KINDS[tag].roles)
         if states > budget:
             raise BudgetError(
-                f"{kind.tag} enumeration needs {states} joint states, budget is {budget}"
+                f"{tag} enumeration needs {states} joint states, budget is {budget}"
             )
 
     # role k reads the cell midpoints of all m states along its own axis k,
     # so its feature rows are (d, 1, .., m, .., 1) and every picked blend,
     # table lookup and term factor spans only the axes of the roles it reads
-    roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
+    roles = [r for r in ROLES if any(r in KINDS[tag].roles for tag in tags)]
     cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
     mids = (cells + 0.5) / model.levels
     ev = _BatchEvals(model, [
         (role, mids.reshape((1,) * k + (m,) + (1,) * (len(roles) - 1 - k) + (model.dim,)))
         for k, role in enumerate(roles)
     ])
-    means = {kind: {} for kind in kinds}
-    for u in us:  # set by set, so the grid holds the blends over one set at a time
+    means: dict[EstimatorKind, dict[IndexSet, float]] = {}
+    for u, kinds in plan.items():  # set by set: the grid holds one set's blends at a time
+        sums: dict = {}
         for kind in kinds:
-            means[kind][u] = _grid_mean(*_term_factors(ev, kind, u, _resolve_center(model, kind)))
+            factors = _term_factors(ev, kind, u, _resolve_center(model, kind))
+            means.setdefault(kind, {})[u] = _grid_mean(*factors, sums)
         ev.release(kinds)
     return means
 
@@ -227,4 +241,4 @@ def enumerate_expectation(
     budget: int = MAX_STATES,
 ) -> float:
     """``enumerate_expectations`` for one kind and one set u."""
-    return enumerate_expectations(model, [kind], [u], budget)[kind][u]
+    return enumerate_expectations(model, {u: [kind]}, budget)[kind][u]

@@ -9,24 +9,30 @@ so the suite can check, with no sampling error, that
   index (the total index for the squared-difference kind), for every
   target set and every admissible blending pair (v, v'),
 * the original estimator's cross moment enumerates to mu^2 + lower_u,
-* the expanded Q factors equal the literal squared differences.
+* the expanded Q factors equal the squares of the generalized kind's own
+  factors D and E.
 
-Each target set takes one run of the sampler's own ``_BatchEvals``
-(feature blends, table lookups and ``_term_factors``) on the grid
-midpoints for every kind it checks, which contracts each term's two
-factors over all joint grid states without building the grid, so a wrong
-term, blend or lookup shows up here.  Any violation fails the suite.
+Each trial makes one oracle call: one grid of the sampler's own
+``_BatchEvals`` (feature blends, table lookups and ``_term_factors``) on
+the cell midpoints, read set by set for every kind each set checks, which
+contracts each term's two factors over all joint grid states without
+building the grid; the kinds of a set share their differences and partial
+sums.  The Q identities read D and E from ``_term_factors`` on random
+points of a random product model.  So a wrong term, blend or lookup shows
+up here.  Any violation fails the suite, and a check's label is formed
+only when it fails.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 
-from .core import IndexSet, blend
-from .estimators import KINDS, EstimatorKind
+from .core import ROLES, IndexSet
+from .estimators import KINDS, EstimatorKind, _BatchEvals, _term_factors
 from .models import BudgetError, DiscreteModel, ProductModel, discrete_anova
 from .theory import MAX_STATES, enumerate_expectations, q_uv, q_v
 
@@ -45,11 +51,12 @@ class _Ledger:
         self.checks = 0
         self.failures = 0
 
-    def check(self, ok: bool, label: str) -> None:
+    def check(self, ok: bool, label: str | Callable[[], str]) -> None:
+        """Count one check; a failed one logs its label, formed only then."""
         self.checks += 1
         if not ok:
             self.failures += 1
-            self.log(f"[FAIL] {label}")
+            self.log(f"[FAIL] {label() if callable(label) else label}")
 
     def close(self, label: str) -> None:
         status = "PASS" if self.failures == 0 else "FAIL"
@@ -59,22 +66,31 @@ class _Ledger:
 def _check_anova_invariants(ledger: _Ledger, report, d: int, trial: int) -> None:
     empty = IndexSet.empty(d)
     full = IndexSet.full(d)
-    ledger.check(report.sigma2_u[empty] == 0.0, f"trial {trial}: sigma2_empty = 0")
-    ledger.check(report.lower_u[empty] == 0.0, f"trial {trial}: lower_empty = 0")
+    ledger.check(report.sigma2_u[empty] == 0.0, lambda: f"trial {trial}: sigma2_empty = 0")
+    ledger.check(report.lower_u[empty] == 0.0, lambda: f"trial {trial}: lower_empty = 0")
     total = math.fsum(report.sigma2_u[u] for u in full.subsets())
     ledger.check(
-        _rel_err(total, report.sigma2) < REL_TOL, f"trial {trial}: effect variances sum to sigma2"
+        _rel_err(total, report.sigma2) < REL_TOL,
+        lambda: f"trial {trial}: effect variances sum to sigma2",
     )
     for u in full.subsets():
         lo, hi = report.lower_u[u], report.upper_u[u]
         ledger.check(
             -1e-12 <= lo <= hi + 1e-12 <= report.sigma2 + 1e-9,
-            f"trial {trial}: 0 <= lower <= upper <= sigma2 at u={u}",
+            lambda: f"trial {trial}: 0 <= lower <= upper <= sigma2 at u={u}",
         )
         ledger.check(
             _rel_err(report.lower_u[u] + report.upper_u[u.complement()], report.sigma2) < REL_TOL,
-            f"trial {trial}: complement identity at u={u}",
+            lambda: f"trial {trial}: complement identity at u={u}",
         )
+
+
+def _label(kind: EstimatorKind) -> str:
+    if kind.tag == "original":
+        return "E[original cross moment]"
+    if kind.tag == "generalized":
+        return f"E[generalized v={kind.v} v2={kind.v2}]"
+    return f"E[{kind.tag}]"
 
 
 def _check_enumerations(
@@ -85,25 +101,31 @@ def _check_enumerations(
     trial: int,
 ) -> None:
     mu = model.mean()
-    for u in list(IndexSet.full(model.dim).subsets())[1:]:  # every nonempty set
-        lower, comp = report.lower_u[u], u.complement()
-        table = {
-            EstimatorKind("correlation1"): (lower, "E[correlation1]"),
-            EstimatorKind("correlation2"): (lower, "E[correlation2]"),
-            EstimatorKind("oracle1", center=mu): (lower, "E[oracle1]"),
-            EstimatorKind("oracle2", center=mu): (lower, "E[oracle2]"),
-            EstimatorKind("upper"): (report.upper_u[u], "E[upper]"),
-            EstimatorKind("original"): (mu**2 + lower, "E[original cross moment]"),
+    plan = {}  # every nonempty set -> {kind: its expected mean}
+    for u in list(IndexSet.full(model.dim).subsets())[1:]:
+        lower = report.lower_u[u]
+        plan[u] = {
+            EstimatorKind("correlation1"): lower,
+            EstimatorKind("correlation2"): lower,
+            EstimatorKind("oracle1", center=mu): lower,
+            EstimatorKind("oracle2", center=mu): lower,
+            EstimatorKind("upper"): report.upper_u[u],
+            EstimatorKind("original"): mu**2 + lower,
         }
-        for v, v2 in itertools.product(comp.subsets(), repeat=2):
-            kind = EstimatorKind("generalized", v=v, v2=v2)
-            table[kind] = (lower, f"E[generalized v={v} v2={v2}]")
-        got = enumerate_expectations(model, list(table), [u], budget)
-        for kind, (want, label) in table.items():
-            ledger.check(_rel_err(got[kind][u], want) < REL_TOL, f"trial {trial}: {label} at u={u}")
+        for v, v2 in itertools.product(u.complement().subsets(), repeat=2):
+            plan[u][EstimatorKind("generalized", v=v, v2=v2)] = lower
+    got = enumerate_expectations(model, plan, budget)
+    for u, wants in plan.items():
+        for kind, want in wants.items():
+            ledger.check(
+                _rel_err(got[kind][u], want) < REL_TOL,
+                lambda: f"trial {trial}: {_label(kind)} at u={u}",
+            )
 
 
 def _check_q_identities(ledger: _Ledger, rng: np.random.Generator, trial: int) -> None:
+    # D and E are the generalized kind's own factors, from the sampler's
+    # feature blends and values; q_v and q_uv expand their squares apart
     d = int(rng.integers(2, 5))
     model = ProductModel(
         rng.uniform(0.5, 1.5, d),
@@ -111,20 +133,21 @@ def _check_q_identities(ledger: _Ledger, rng: np.random.Generator, trial: int) -
         [("uniform", "tent")[int(b)] for b in rng.integers(0, 2, d)],
     )
     x, y, z, w = (rng.random((100, d)) for _ in range(4))
+    ev = _BatchEvals(model, zip(ROLES, (x, y, z, w)))
     u = IndexSet.from_indices([1], d)
-    comp = u.complement()
-    for v in comp.subsets():
-        direct = (model.evaluate(x) - model.evaluate(blend(x, z, v))) ** 2
+    for v in u.complement().subsets():
+        left, right = _term_factors(ev, EstimatorKind("generalized", v=v, v2=v), u, None)
+        direct = left**2
         expanded = q_v(model, x, z, v)
         ledger.check(
             float(np.max(np.abs(expanded - direct))) < Q_TOL * max(1.0, float(np.max(direct))),
-            f"trial {trial}: Q_v equals the squared difference, v={v}",
+            lambda: f"trial {trial}: Q_v equals the squared difference, v={v}",
         )
-        right = (model.evaluate(blend(x, y, u)) - model.evaluate(blend(y, w, v))) ** 2
+        direct2 = right**2
         expanded2 = q_uv(model, x, y, w, u, v)
         ledger.check(
-            float(np.max(np.abs(expanded2 - right))) < Q_TOL * max(1.0, float(np.max(right))),
-            f"trial {trial}: Q_uv' equals the squared difference, v'={v}",
+            float(np.max(np.abs(expanded2 - direct2))) < Q_TOL * max(1.0, float(np.max(direct2))),
+            lambda: f"trial {trial}: Q_uv' equals the squared difference, v'={v}",
         )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobolmc.core import BlockSampler, DimensionError, IndexSet, RngSpec, blend
-from sobolmc.estimators import KINDS, EstimatorKind, accumulate_terms
+from sobolmc.estimators import KINDS, EstimatorKind, _BatchEvals, accumulate_terms
 from sobolmc.models import (
     BudgetError,
     DiscreteModel,
@@ -350,14 +350,16 @@ class TestEnumerateExpectation:
         # correlation2's f(z_u#x_-u) is new, on the 16 states of its own axes
         model = DiscreteModel(np.random.default_rng(5).random((2, 2)))
         kinds = [EstimatorKind("correlation1"), EstimatorKind("correlation2")]
-        enumerate_expectations(model, kinds, [u_of([1], 2)])
+        enumerate_expectations(model, {u_of([1], 2): kinds})
         assert model.counter.count == 4 + 4 + 16 + 16
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(st.data())
     def test_one_call_equals_one_call_per_kind_and_set(self, data):
-        # every set, every kind, pinned and default centers and every (v, v2):
-        # a kind read from the shared grid gives the single call's mean exactly
+        # one plan over every set, with every kind, pinned and default centers
+        # and every (v, v2) of the set: a kind read from the shared grid, with
+        # its differences and partial sums shared, gives the single call's
+        # mean exactly
         d = data.draw(st.integers(1, 3))
         levels = data.draw(st.integers(2, 3))
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -367,21 +369,55 @@ class TestEnumerateExpectation:
             EstimatorKind("oracle1", center=center),
             EstimatorKind("oracle2", center=center),
         ]
-        us = list(IndexSet.full(d).subsets())
-        shared = enumerate_expectations(model, plain, us)
-        for u in us:
-            comp = u.complement()
-            pairs = [
+        plan = {
+            u: plain + [
                 EstimatorKind("generalized", v=v, v2=v2)
-                for v in comp.subsets()
-                for v2 in comp.subsets()
+                for v, v2 in itertools.product(u.complement().subsets(), repeat=2)
             ]
-            per_set = enumerate_expectations(model, plain + pairs, [u])
-            for kind in plain + pairs:
-                single = enumerate_expectation(model, kind, u)
-                assert per_set[kind][u] == single, (kind, u)
-                if kind in shared:
-                    assert shared[kind][u] == single, (kind, u)
+            for u in IndexSet.full(d).subsets()
+        }
+        got = enumerate_expectations(model, plan)
+        for u, kinds in plan.items():
+            for kind in kinds:
+                assert got[kind][u] == enumerate_expectation(model, kind, u), (kind, u)
+
+    def test_each_difference_is_formed_once_and_ends_with_its_set(self, monkeypatch):
+        # the 16 (v, v2) pairs of a |u| = 1 set at d = 3 share 4 left factors
+        # f(x) - f(x_v#z_-v) and 4 right ones f(x_u#y_-u) - f(y_v2#w_-v2); the
+        # grid caches each difference once and drops it with the set's blends
+        model = DiscreteModel(np.random.default_rng(9).random((2, 2, 2)))
+        held = []
+        real_release = _BatchEvals.release
+
+        def spy(self, kinds):
+            held.append([key for key in self._cache if key[0] == "-"])
+            real_release(self, kinds)
+            held.append([key for key in self._cache if key[0] == "-"])
+
+        monkeypatch.setattr(_BatchEvals, "release", spy)
+        u = u_of([1], 3)
+        pairs = [
+            EstimatorKind("generalized", v=v, v2=v2)
+            for v, v2 in itertools.product(u.complement().subsets(), repeat=2)
+        ]
+        plan = {u: pairs, u_of([2, 3], 3): pairs[:1] + [EstimatorKind("oracle1")]}
+        enumerate_expectations(model, plan)
+        before, after, _, last = held
+        assert sum(key[1] == ("x",) for key in before) == 4
+        assert sum(key[1] == ("x", "y", u.bits) for key in before) == 4
+        assert len(before) == 8
+        assert after == last == []
+
+    def test_signed_zero_centers_are_distinct_factors(self):
+        # a center is keyed by its bits: f - 0.0 keeps a -0.0 value's sign, f - (-0.0) does not
+        model = DiscreteModel(np.array([-0.0, 0.5]))
+        ev = _BatchEvals(model, [("x", np.array([[0.25], [0.75]]))])
+        fx = ev.plain("x")
+        pos, neg = ev.subtract(fx, 0.0), ev.subtract(fx, -0.0)
+        assert pos is not neg
+        assert ev.subtract(fx, 0.0) is pos and ev.subtract(fx, -0.0) is neg
+        assert np.signbit(pos[0]) and not np.signbit(neg[0])
+        assert not pos.flags.writeable
 
     def test_budget_refusal(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
@@ -406,4 +442,4 @@ class TestEnumerateExpectation:
         with pytest.raises(DimensionError, match="dimension 3, model has 2"):
             enumerate_expectation(model, kind, u_of([1], 3))
         with pytest.raises(DimensionError):
-            enumerate_expectations(model, [kind], [u_of([1], 2), u_of([1], 3)])
+            enumerate_expectations(model, {u_of([1], 2): [kind], u_of([1], 3): [kind]})
