@@ -29,6 +29,7 @@ reported with a ``biased`` flag and no standard error.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -245,6 +246,11 @@ class _Workspace:
     def give(self, view: np.ndarray) -> None:
         self._spare.append(self._lent.pop(id(view)))
 
+    def reclaim(self) -> None:
+        """Take back every buffer still lent."""
+        self._spare.extend(self._lent.values())
+        self._lent.clear()
+
 
 #: workspaces of finished passes; a pass pops one or builds its own, so
 #: concurrent passes never share one (list pop and append are atomic)
@@ -258,33 +264,160 @@ def _pop_spare() -> _Workspace:
         return _Workspace()
 
 
+#: op codes of a recorded program besides the numpy ufuncs np.subtract and np.multiply
+_VALUE, _MEAN, _FOLD = "value", "mean", "fold"
+
+
+class _Program:
+    """The term program of a plan, recorded once from ``_term_factors`` and replayed.
+
+    ``_term_factors`` runs on a program as on a batch, but ``plain``,
+    ``blended``, ``subtract`` and ``multiply`` return slot numbers and
+    append an op that forms the slot, so the kinds and sets of a plan share
+    every slot they can.  Each distinct plain value, blend signature,
+    difference, scaled factor and term gets one slot: a full blend is the
+    plain left point, an empty one the plain right point, and a center or
+    scale is a constant slot keyed by its exact bits (0.0 is not -0.0).  A
+    consumer closes each term with ``mean`` (the oracle's grid mean),
+    ``fold`` (a pass adds it to an accumulator) or ``keep`` (read after the
+    run).  Recording notes in ``rows`` a bitmask per role of the feature
+    rows some value reads, so a pass featurizes only those, and each slot's
+    last read, so ``_BatchEvals.run`` ends the slot there.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self._full = (1 << dim) - 1
+        self.rows: dict[str, int] = {}
+        self.size = 0  # slots
+        self.consts: dict[int, float] = {}  # constant slot -> its center or scale
+        self._ops: list[tuple] = []  # (op, out slot, a, b, extra)
+        self._slots: dict[tuple, int] = {}
+        self._last: dict[int, int] = {}  # slot -> the index of the op that reads it last
+        self._kept: set[int] = set()
+        self._schedule: list[tuple] | None = None
+
+    def _new(self, op, a, b, extra=None) -> int:
+        if op is not _VALUE:  # a value reads rows, the other ops read slots a and b
+            self._last[a] = self._last[b] = len(self._ops)
+        self._ops.append((op, self.size, a, b, extra))
+        self.size += 1
+        return self.size - 1
+
+    def _operand(self, x) -> int:
+        """A slot as it is; a float (a center or scale) as its constant slot."""
+        if not isinstance(x, float):
+            return x
+        key = ("c", x.hex())
+        if key not in self._slots:
+            self._slots[key] = self.size
+            self.consts[self.size] = x
+            self.size += 1
+        return self._slots[key]
+
+    def _binary(self, op, a, b) -> int:
+        a, b = self._operand(a), self._operand(b)
+        slot = self._slots.get((op, a, b))
+        if slot is None:
+            slot = self._slots[op, a, b] = self._new(op, a, b)
+        return slot
+
+    def _value(self, key: tuple, role_a: str, role_b: str, u: IndexSet | None) -> int:
+        slot = self._slots.get(key)
+        if slot is None:
+            bits = self._full if u is None else u.bits
+            self.rows[role_a] = self.rows.get(role_a, 0) | bits
+            self.rows[role_b] = self.rows.get(role_b, 0) | bits ^ self._full
+            slot = self._slots[key] = self._new(_VALUE, role_a, role_b, u)
+        return slot
+
+    def plain(self, role: str) -> int:
+        # kept for the run, as most sets read it: so a pass's peak, and the
+        # workspace it leaves, do not depend on how many sets it runs
+        return self.keep(self._value((role,), role, role, None))
+
+    def blended(self, role_a: str, role_b: str, u: IndexSet) -> int:
+        if u.bits == self._full:
+            return self.plain(role_a)
+        if u.bits == 0:
+            return self.plain(role_b)
+        return self._value((role_a, role_b, u.bits), role_a, role_b, u)
+
+    def subtract(self, a, b) -> int:
+        return self._binary(np.subtract, a, b)
+
+    def multiply(self, a, b) -> int:
+        """A scaled factor, or a term: the product of its left and right factors."""
+        return self._binary(np.multiply, a, b)
+
+    def mean(self, left: int, right: int) -> int:
+        """A kept slot: the mean of left * right over the grid their axes span."""
+        return self.keep(self._binary(_MEAN, left, right))
+
+    def fold(self, slot: int, acc: Accumulator) -> None:
+        """``acc.add_batch`` of the slot's values."""
+        self._new(_FOLD, slot, slot, acc)
+
+    def keep(self, slot: int) -> int:
+        """Keep the slot to the end of the run, so its value can be read after it."""
+        self._kept.add(slot)
+        return slot
+
+    def schedule(self) -> list[tuple]:
+        """Each op as (op, out, a, b, extra, inplace, ends): ``ends`` are the
+        slots it reads last, ``inplace`` one of them that an op formed (its
+        right operand first), or None."""
+        if self._schedule is None:
+            ends: list = [()] * len(self._ops)
+            for slot, k in self._last.items():
+                if slot not in self._kept and slot not in self.consts:
+                    ends[k] += (slot,)
+            formed = {out for op, out, *_ in self._ops if op is not _VALUE}
+            self._schedule = [
+                (op, out, a, b, extra,
+                 b if b in e and b in formed else a if a in e and a in formed else None, e)
+                for (op, out, a, b, extra), e in zip(self._ops, ends)
+            ]
+        return self._schedule
+
+
+def _grid_mean(left, right, left_sums: dict, right_sums: dict, layouts: dict) -> float:
+    # mean of left * right over their broadcast grid without forming it: each
+    # factor is summed over the axes only it spans, then the products of those
+    # partial sums are added; an axis neither spans leaves the mean unchanged.
+    # ``layouts`` keeps those axes and the grid's size by the two shapes, and
+    # a factor's sums are kept by axes until the factor ends
+    shapes = (left.shape, right.shape)
+    layout = layouts.get(shapes)
+    if layout is None:
+        layout = layouts[shapes] = (
+            tuple(k for k, (p, q) in enumerate(zip(*shapes)) if q == 1 < p),
+            tuple(k for k, (p, q) in enumerate(zip(*shapes)) if p == 1 < q),
+            math.prod(map(max, *shapes)),  # the broadcast shape's size
+        )
+    left_axes, right_axes, size = layout
+    if left_axes not in left_sums:  # np.add.reduce is the reduction np.sum takes
+        left_sums[left_axes] = np.add.reduce(left, axis=left_axes, keepdims=True)
+    if right_axes not in right_sums:
+        right_sums[right_axes] = np.add.reduce(right, axis=right_axes, keepdims=True)
+    parts = left_sums[left_axes] * right_sums[right_axes]
+    return math.fsum(parts.ravel().tolist()) / size
+
+
 class _BatchEvals:
-    """Caches the function values of one sample batch by blend signature.
+    """One batch's feature rows, on which ``run`` replays a recorded ``_Program``.
 
     Each (role, points) pair is featurized into d coordinate-major rows,
     and a blend is evaluated from rows picked by the set, so nothing is
-    copied.  A full blend is the plain left point, an empty one the plain
-    right point; each distinct signature is evaluated once and counted once
-    per point, and its values are read-only, because every term of the
-    batch shares them.  ``subtract`` and ``multiply`` form the term
-    factors and ``product`` the term; ``fold`` adds a term to an
-    accumulator and ends its temporaries.
-    ``release(kinds)`` frees the blends of a set once every term of the set
-    is formed: a blend serves one set, except one over a kind's explicit v
-    or v2, which every set reads and which stays for the batch.
-    A sampling pass (``_batches``) keeps one instance for all its batches,
-    over a ``_Workspace``: its ``features`` are views of role rows the pass
-    refills in place, a count is the batch length, and every value and
-    temporary is a workspace buffer, handed back by ``release``, ``fold``
-    and the next batch.  Without a workspace each array is a new one.
-    The exact oracle keeps one instance per call over grid midpoints, one
-    role per axis, and reads it set by set as a pass does.  A value spans
-    only the axes of the roles it reads, and a count is the number of
-    distinct states evaluated; ``_term_factors`` forms the two factors,
-    which the oracle contracts over the grid without building it.  Without
-    a workspace ``subtract`` also caches a difference of cached values, or
-    of a cached value and a center, so kinds and (v, v') pairs that share a
-    factor form it once; it is read-only, and ``release`` drops it.
+    copied.  A sampling pass (``_batches``) keeps one instance for all its
+    batches, over a ``_Workspace``: its ``features`` are views of role rows
+    the pass refills in place, a value counts the batch length, and every
+    value, factor, term and deviation is a workspace buffer.  A slot's
+    buffer goes back after its last read, and an op writes into the buffer
+    of a formed operand that it reads last.  Without a workspace (the exact
+    oracle over grid midpoints, one role per axis, and the Q check) every
+    op makes a new array, a value counts the points its rows broadcast to,
+    and a slot is dropped after its last read; each value and factor then
+    spans only the axes of the roles it reads.
     """
 
     def __init__(
@@ -295,147 +428,53 @@ class _BatchEvals:
     ) -> None:
         self.model = model
         self.features = {role: model.features(x) for role, x in points}
-        self._cache: dict[tuple, np.ndarray] = {}
-        self._keys: dict[int, tuple] = {}  # id of a cached value -> its key
         self._ws = workspace
         self._b = 0  # the batch length, on a workspace
-        self._temps: list[np.ndarray] = []
 
-    def _value(self, key: tuple, rows: Callable[[], Sequence[np.ndarray]]) -> np.ndarray:
-        value = self._cache.get(key)
-        if value is None:
-            picked = rows()
-            if self._ws is None:
-                value = self.model._values(picked)
-                self.model.counter.add(value.size)  # the points the rows broadcast to
-            else:
-                self.model.counter.add(self._b)
-                value = self.model._values(picked, out=self._ws.lend(self._b))
-            value.flags.writeable = False  # shared by every term that reads it
-            self._cache[key] = value
-            self._keys[id(value)] = key
-        return value
-
-    def plain(self, role: str) -> np.ndarray:
-        return self._value((role,), lambda: self.features[role])
-
-    def blended(self, role_a: str, role_b: str, u: IndexSet) -> np.ndarray:
-        if u.bits == (1 << u.dim) - 1:
-            return self.plain(role_a)
-        if u.bits == 0:
-            return self.plain(role_b)
-        return self._value(
-            (role_a, role_b, u.bits),
-            lambda: pick_rows(self.features[role_a], self.features[role_b], u),
-        )
-
-    def _temp(self) -> np.ndarray | None:
-        """A workspace buffer for one temporary of the current term; None without one."""
-        if self._ws is None:
-            return None
-        self._temps.append(self._ws.lend(self._b))
-        return self._temps[-1]
-
-    def subtract(self, a, b) -> np.ndarray:
-        if self._ws is not None:
-            return np.subtract(a, b, out=self._temp())
-        key = ("-", self._key(a), self._key(b))
-        if None in key:
-            return np.subtract(a, b)
-        value = self._cache.get(key)
-        if value is None:
-            value = self._cache[key] = np.subtract(a, b)
-            value.flags.writeable = False
-            self._keys[id(value)] = key
-        return value
-
-    def _key(self, operand) -> tuple | None:
-        """A cached value's key, a center's exact bits (0.0 is not -0.0), else None."""
-        if isinstance(operand, np.ndarray):
-            return self._keys.get(id(operand))
-        return ("c", float(operand).hex())
-
-    def multiply(self, a, b) -> np.ndarray:
-        return np.multiply(a, b, out=self._temp())
-
-    def product(self, left, right) -> np.ndarray:
-        """A term's left * right factors.
-
-        A right factor formed for this term takes the product in place, as
-        numpy reuses a temporary within one expression; a new batch array per
-        term is slower.
-        """
-        return np.multiply(left, right, out=right if right.flags.writeable else self._temp())
-
-    def fold(self, acc: Accumulator, values: np.ndarray) -> None:
-        """``acc.add_batch(values)``, then the term's temporaries end.
-
-        The deviations overwrite values when it is a temporary and go to a
-        new temporary when it is a shared value.
-        """
-        acc._add(values, values if values.flags.writeable else self._temp())
-        self._end_temps()
-
-    def _end_temps(self) -> None:
-        for temp in self._temps:
-            self._ws.give(temp)
-        self._temps.clear()
-
-    def release(self, kinds: Iterable[EstimatorKind]) -> None:
-        """Drop the blends and differences of the set just done; plain values
-        and the blends over an explicit v or v2 of ``kinds`` stay."""
-        shared = {s.bits for kind in kinds for s in (kind.v, kind.v2) if s is not None}
-        for key in [k for k in self._cache if k[0] == "-" or len(k) == 3 and k[2] not in shared]:
-            self._drop(key)
-
-    def _drop(self, key: tuple) -> None:
-        value = self._cache.pop(key)
-        del self._keys[id(value)]
-        if self._ws is not None:
-            self._ws.give(value)
-
-    def _start(self, b: int) -> None:
-        """Drop every value and temporary of the previous batch and take batches of b points."""
-        for key in list(self._cache):
-            self._drop(key)
-        self._end_temps()
-        self._b = b
-
-
-class _RowReads:
-    """Stands in for a ``_BatchEvals`` to find the feature rows a pass reads.
-
-    Run through the same per-batch body as the pass, before anything is
-    drawn, it notes in ``rows`` a bitmask per role of the coordinates some
-    value reads.  It computes nothing: every value and factor is None.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self._full = (1 << dim) - 1
-        self.rows: dict[str, int] = {}
-
-    def plain(self, role: str) -> None:
-        self.rows[role] = self.rows.get(role, 0) | self._full
-
-    def blended(self, role_a: str, role_b: str, u: IndexSet) -> None:
-        self.rows[role_a] = self.rows.get(role_a, 0) | u.bits
-        self.rows[role_b] = self.rows.get(role_b, 0) | u.bits ^ self._full
-
-    def subtract(self, *args) -> None:
-        """Forms nothing; so do ``multiply``, ``product``, ``fold`` and ``release``."""
-
-    multiply = product = fold = release = subtract
+    def run(self, program: _Program) -> list:
+        """Replay the program on this batch; the values of its kept slots, by slot."""
+        model, feats, ws, n = self.model, self.features, self._ws, self._b
+        vals: list = [None] * program.size
+        for slot, c in program.consts.items():
+            vals[slot] = c
+        sums: defaultdict[int, dict] = defaultdict(dict)  # a factor's grid partial sums
+        layouts: dict = {}
+        for op, out, a, b, extra, inplace, ends in program.schedule():
+            if op is _MEAN:
+                value = _grid_mean(vals[a], vals[b], sums[a], sums[b], layouts)
+            elif op is _VALUE:  # a and b are roles, extra the set (None: plain a)
+                rows = feats[a] if extra is None else pick_rows(feats[a], feats[b], extra)
+                if ws is None:
+                    value = model._values(rows)
+                    model.counter.add(value.size)  # the points the rows broadcast to
+                else:
+                    model.counter.add(n)
+                    value = model._values(rows, out=ws.lend(n))
+            elif op is _FOLD:  # extra is the accumulator
+                dev = None if ws is None else vals[a] if inplace is not None else ws.lend(n)
+                extra._add(vals[a], dev)
+                if dev is not None and inplace is None:
+                    ws.give(dev)
+                value = None
+            else:  # np.subtract or np.multiply
+                dest = None if ws is None else ws.lend(n) if inplace is None else vals[inplace]
+                value = op(vals[a], vals[b], out=dest)
+            vals[out] = value
+            for slot in ends:
+                if ws is not None and vals[slot] is not value:
+                    ws.give(vals[slot])
+                vals[slot] = None
+                sums.pop(slot, None)
+        return vals
 
 
 def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     """The two factors of ``kind``'s per-sample term for target set u.
 
     The one place each kind's algebra is written: the term is left * right.
-    ``ev`` is a ``_BatchEvals`` over a sample batch or, in the exact oracle,
-    over the grid midpoints with one role per axis, where each factor spans
-    only the axes of the roles it reads; or a ``_RowReads``, which notes the
-    rows the factors read.  ``original`` yields its raw cross
-    moment f(x) f(x_u#y_-u).
+    ``ev`` is a ``_Program``, which records the factors as slots that a
+    sampling pass, the exact oracle and the Q check replay on their own
+    points.  ``original`` yields its raw cross moment f(x) f(x_u#y_-u).
     """
     tag, sub = kind.tag, ev.subtract
     if tag == "correlation1":
@@ -469,15 +508,11 @@ def _term_factors(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
     raise ValueError(f"no term for {tag!r}")
 
 
-def _batch_terms(ev, kind: EstimatorKind, u: IndexSet, center: float | None):
-    """Per-sample terms of ``kind`` for target set u."""
-    return ev.product(*_term_factors(ev, kind, u, center))
-
-
-def _resolve_center(model: Model, kind: EstimatorKind) -> float | None:
+def _resolve_center(kind: EstimatorKind, mean: Callable[[], float]) -> float | None:
+    """The center ``kind``'s term subtracts: its own, or ``mean()``, the model's exact mean."""
     if "center" not in KINDS[kind.tag].params:
         return None
-    return model.mean() if kind.center is None else kind.center
+    return mean() if kind.center is None else float(kind.center)
 
 
 def _batches(
@@ -494,27 +529,27 @@ def _batches(
     It yields one ``_BatchEvals`` per batch, the same object refilled each
     time, so a caller is done with a batch when it asks for the next: a
     batch's arrays are valid only until then, or until the pass ends.
-    Every batch drops the previous batch's values, then draws each role in
-    chunks of at most ``_DRAW_ROWS`` points into one reused array and
-    writes the features into the same rows, ``rows[:, :b]``.  So a pass
-    holds one batch, not two.  Only the rows ``reads`` names (a bitmask per
-    role, as ``_RowReads`` notes them) are featurized; the others hold
-    whatever they held.  A role with some row read is drawn in full, so its
-    stream never changes; a role with none is neither opened nor drawn,
-    which changes no other role's numbers, since each has its own stream.
-    All of it lives in one ``_Workspace``: the draw chunk, each role's d
-    feature rows (in the dtype the model's features take, each row padded
-    to a 64-byte stride), the cached values, the term factors and products
-    and the deviations ``fold`` forms.  Every buffer starts on a 64-byte
-    boundary.  The pass pops a workspace that an earlier pass left on
-    ``_SPARE``, or builds one, and pushes it back when it ends, so
-    replicate passes, studies and ``estimate`` calls reuse the same memory
-    and concurrent passes each hold their own.  A spare keeps what its
-    widest pass held at once: the draw chunk, each role's rows, and the
-    values and temporaries of one set, because every set's blends go back
-    when the set is done.  That is one pass's peak, not one per set.  A
-    pass wider than ``DEFAULT_BATCH`` builds its own and leaves nothing
-    behind.
+    Every batch takes back the buffers the previous batch still holds, then
+    draws each role in chunks of at most ``_DRAW_ROWS`` points into one
+    reused array and writes the features into the same rows,
+    ``rows[:, :b]``.  So a pass holds one batch, not two.  Only the rows
+    ``reads`` names (a bitmask per role, as a ``_Program`` notes them) are
+    featurized; the others hold whatever they held.  A role with some row
+    read is drawn in full, so its stream never changes; a role with none is
+    neither opened nor drawn, which changes no other role's numbers, since
+    each has its own stream.  All of it lives in one ``_Workspace``: the
+    draw chunk, each role's d feature rows (in the dtype the model's
+    features take, each row padded to a 64-byte stride), and the values,
+    factors, terms and deviations of the replayed program.  Every buffer
+    starts on a 64-byte boundary.  The pass pops a workspace that an
+    earlier pass left on ``_SPARE``, or builds one, and pushes it back when
+    it ends, so replicate passes, studies and ``estimate`` calls reuse the
+    same memory and concurrent passes each hold their own.  A spare keeps
+    what its widest pass held at once: the draw chunk, each role's rows,
+    and the slots of one set, because a blend or factor goes back after its
+    last read, and only the plain values and the slots several sets read
+    outlive a set.  That is one pass's peak, not one per set.  A pass wider
+    than ``DEFAULT_BATCH`` builds its own and leaves nothing behind.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -547,7 +582,8 @@ def _batches(
         done = 0
         while done < n:
             b = min(batch_size, n - done)
-            ev._start(b)  # the previous batch's values go before this batch is drawn
+            ws.reclaim()  # the previous batch's buffers go back before this batch is drawn
+            ev._b = b
             for role in roles:  # the stream continues chunk by chunk, so the points are the same
                 for start in range(0, b, len(draw)):
                     stop = min(start + len(draw), b)
@@ -557,7 +593,7 @@ def _batches(
             yield ev
             done += b
     finally:
-        ev._start(0)
+        ws.reclaim()
         ev.features.clear()
         if kept:
             _SPARE.append(ws)
@@ -580,27 +616,23 @@ def accumulate_terms(
     the means of f(x) and f(x_u#y_-u), read from the values the batch
     already holds.
     """
-    centers = {kind: _resolve_center(model, kind) for kind in kinds}
+    centers = {kind: _resolve_center(kind, model.mean) for kind in kinds}
     accs = {kind: {u: Accumulator() for u in us} for kind in kinds}
     original = EstimatorKind("original")
     fx, fb = Accumulator(), {u: Accumulator() for u in us}
     roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
-
-    def fold_batch(ev) -> None:
+    program = _Program(model.dim)
+    if original in accs:
+        program.fold(program.plain("x"), fx)
+    for u in us:  # set by set, so a batch holds only the blends over one set
+        for kind, per_set in accs.items():
+            term = program.multiply(*_term_factors(program, kind, u, centers[kind]))
+            program.fold(term, per_set[u])
         if original in accs:
-            ev.fold(fx, ev.plain("x"))
-        for u in us:  # set by set, so a batch holds only the blends over one set
-            for kind, per_set in accs.items():
-                ev.fold(per_set[u], _batch_terms(ev, kind, u, centers[kind]))
-            if original in accs:
-                ev.fold(fb[u], ev.blended("x", "y", u))
-            ev.release(kinds)
-
-    reads = _RowReads(model.dim)
-    fold_batch(reads)  # so the pass featurizes only the rows some value reads
+            program.fold(program.blended("x", "y", u), fb[u])
     start = model.counter.count
-    for ev in _batches(model, roles, us, n, rng, batch_size, reads.rows):
-        fold_batch(ev)
+    for ev in _batches(model, roles, us, n, rng, batch_size, program.rows):
+        ev.run(program)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}
     return accs, model.counter.count - start

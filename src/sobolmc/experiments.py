@@ -276,12 +276,14 @@ def run_efficiency_experiment(config: ExperimentConfig) -> EfficiencyTable:
                 se = None if eff is None else _jackknife_se(accs["correlation1"], accs[tag], tag)
                 cells[f"se_eff_{alias}"] = se
         notes = [config.notes.get(u, "")]
+        # terms that overflow leave the variance and the efficiencies against
+        # it undefined too, as a zero variance does
         zero = [KINDS[tag].alias for tag in sampled_kinds if var[tag] == 0.0]
-        if zero:
-            notes.append(
-                "zero term variance for " + ", ".join(zero)
-                + "; efficiencies against a zero variance are undefined"
-            )
+        nonfinite = [KINDS[tag].alias for tag in sampled_kinds if not math.isfinite(var[tag])]
+        for what, aliases in (("zero", zero), ("non-finite", nonfinite)):
+            if aliases:
+                notes.append(f"{what} term variance for {', '.join(aliases)}; "
+                             f"efficiencies against a {what} variance are undefined")
 
         originals = None
         if "original" in config.kinds:

@@ -215,7 +215,7 @@ class _FactorProduct(Model):
             np.copyto(out, h[0])
             return out
         if out is None:
-            out = np.empty(np.broadcast_shapes(*(r.shape for r in h)))
+            out = np.empty(np.broadcast(*h).shape)  # np.broadcast_shapes costs ~7 us of Python
         np.multiply(h[0], h[1], out=out)
         for row in h[2:]:
             np.multiply(out, row, out=out)

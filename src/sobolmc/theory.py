@@ -22,18 +22,20 @@ factors with symmetric shapes) and is a monotone surrogate otherwise.
 
 ``enumerate_expectations`` is the brute-force oracle: for tabulated models
 it computes the exact mean of the sampler's own per-sample terms over all
-joint grid states of the 2-4 input vectors.  It takes a plan, each target
-set with its own kinds, and builds one grid for it: the cell midpoints of
-every state go to one ``_BatchEvals``, one role per grid axis, which it
-reads set by set like a sampling pass, so the feature blends, table
-lookups and ``_term_factors`` it checks are the code that samples.  It
-never builds the joint grid: each factor is summed over the axes only it
-spans.  Within a set, a difference two kinds or (v, v') pairs share is
-formed once by the grid, and a shared factor's partial sum is taken once.
+joint grid states of the 2-4 input vectors.  It records its plan, each
+target set with its own kinds, through ``_term_factors`` into one
+``_Program``, as a sampling pass records its kinds and sets, and replays
+it once on one grid: the cell midpoints of every state, one role per grid
+axis.  So the feature blends, table lookups and differences it checks are
+the code that samples.  It never builds the joint grid: each term's mean
+is taken from its two factors, each summed over the axes only it spans.
+A difference that kinds or (v, v') pairs share is one slot, formed once,
+and its partial sums are taken once, then dropped with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Collection, Mapping
@@ -41,7 +43,7 @@ from typing import Collection, Mapping
 import numpy as np
 
 from .core import ROLES, DimensionError, IndexSet, pick_rows
-from .estimators import KINDS, EstimatorKind, _BatchEvals, _resolve_center, _term_factors
+from .estimators import KINDS, EstimatorKind, _BatchEvals, _Program, _resolve_center, _term_factors
 from .models import BudgetError, DiscreteModel, Model, ProductModel, factor_raw_moments
 
 
@@ -66,17 +68,26 @@ class QFactors:
         return cls(moments[:, 0], moments[:, 1], moments[:, 2], moments[:, 3])
 
 
+def _row_products(h: Mapping[str, np.ndarray], names) -> dict[str, np.ndarray]:
+    """h(a) h(b), row by row, for each two-role name "ab"; h(a)**2 when a is b."""
+    return {ab: h[ab[0]] ** 2 if ab[0] == ab[1] else h[ab[0]] * h[ab[1]] for ab in names}
+
+
 def q_v(model: ProductModel, x, z, v: IndexSet):
     """Squared left factor Q_v = (f(x) - f(x_v # z_-v))^2, expanded.
 
     Evaluated as the three-term product of squared/cross factor values;
     identical to squaring the difference directly.
     """
-    hx = model.features(np.asarray(x, dtype=np.float64))
-    hz = model.features(np.asarray(z, dtype=np.float64))
-    t1 = model._values(hx**2)
-    t2 = model._values(pick_rows(hx**2, hz**2, v))
-    t3 = model._values(pick_rows(hx**2, hx * hz, v))
+    h = {role: model.features(np.asarray(p, dtype=np.float64)) for role, p in zip("xz", (x, z))}
+    return _q_v_rows(model, _row_products(h, ("xx", "zz", "xz")), v)
+
+
+def _q_v_rows(model: ProductModel, h2: Mapping[str, np.ndarray], v: IndexSet):
+    """``q_v`` from the row products ``h2["xx"]``, ``h2["zz"]`` and ``h2["xz"]``."""
+    t1 = model._values(h2["xx"])
+    t2 = model._values(pick_rows(h2["xx"], h2["zz"], v))
+    t3 = model._values(pick_rows(h2["xx"], h2["xz"], v))
     return t1 + t2 - 2.0 * t3
 
 
@@ -88,12 +99,15 @@ def q_uv(model: ProductModel, x, y, w, u: IndexSet, v2: IndexSet):
     """
     if not v2.isdisjoint(u):
         raise ValueError(f"v2={v2} must be disjoint from u={u}")
-    hx = model.features(np.asarray(x, dtype=np.float64))
-    hy = model.features(np.asarray(y, dtype=np.float64))
-    hw = model.features(np.asarray(w, dtype=np.float64))
-    a2 = model._values(pick_rows(hx**2, hy**2, u))
-    b2 = model._values(pick_rows(hy**2, hw**2, v2))
-    cross = model._values(pick_rows(hx * hw, pick_rows(hy**2, hy * hw, v2), u))
+    h = {role: model.features(np.asarray(p, dtype=np.float64)) for role, p in zip("xyw", (x, y, w))}
+    return _q_uv_rows(model, _row_products(h, ("xx", "yy", "ww", "xw", "yw")), u, v2)
+
+
+def _q_uv_rows(model: ProductModel, h2: Mapping[str, np.ndarray], u: IndexSet, v2: IndexSet):
+    """``q_uv`` from the row products ``h2["xx"]``, ``"yy"``, ``"ww"``, ``"xw"`` and ``"yw"``."""
+    a2 = model._values(pick_rows(h2["xx"], h2["yy"], u))
+    b2 = model._values(pick_rows(h2["yy"], h2["ww"], v2))
+    cross = model._values(pick_rows(h2["xw"], pick_rows(h2["yy"], h2["yw"], v2), u))
     return a2 + b2 - 2.0 * cross
 
 
@@ -167,26 +181,6 @@ def argmin_v(model: ProductModel, u: IndexSet, objective: str = "proxy") -> Inde
 MAX_STATES = 10_000_000
 
 
-def _grid_mean(left: np.ndarray, right: np.ndarray, sums: dict) -> float:
-    # mean of left * right over their broadcast grid without forming it: each
-    # factor is summed over the axes only it spans, then the products of those
-    # partial sums are added; an axis neither spans leaves the mean unchanged.
-    # A cached (read-only) factor's sum is kept in ``sums`` with the factor, so
-    # its id stays its own, and the set's other terms reuse it
-    def own_sum(a, b):
-        axes = tuple(k for k in range(a.ndim) if b.shape[k] == 1 < a.shape[k])
-        if a.flags.writeable:
-            return np.sum(a, axis=axes, keepdims=True)
-        key = (id(a), axes)
-        if key not in sums:
-            sums[key] = (a, np.sum(a, axis=axes, keepdims=True))
-        return sums[key][1]
-
-    parts = own_sum(left, right) * own_sum(right, left)
-    size = math.prod(map(max, left.shape, right.shape))  # the broadcast shape's size
-    return math.fsum(parts.ravel().tolist()) / size
-
-
 def enumerate_expectations(
     model: DiscreteModel,
     plan: Mapping[IndexSet, Collection[EstimatorKind]],
@@ -214,23 +208,25 @@ def enumerate_expectations(
                 f"{tag} enumeration needs {states} joint states, budget is {budget}"
             )
 
-    # role k reads the cell midpoints of all m states along its own axis k,
-    # so its feature rows are (d, 1, .., m, .., 1) and every picked blend,
-    # table lookup and term factor spans only the axes of the roles it reads
+    mean = functools.cache(model.mean)  # the default oracle center, taken once per call
+    program = _Program(model.dim)
+    slots = [  # set by set, so a factor ends with the last set that reads it
+        (kind, u, program.mean(*_term_factors(program, kind, u, _resolve_center(kind, mean))))
+        for u, kinds in plan.items() for kind in kinds
+    ]
+    # role k reads the cell midpoints of all m states along its own axis k: its
+    # rows (d, 1, .., m, .., 1) are views of one featurized (d, m), and every
+    # blend, table lookup and term factor spans only the axes of the roles it reads
     roles = [r for r in ROLES if any(r in KINDS[tag].roles for tag in tags)]
     cells = np.stack(np.unravel_index(np.arange(m), model.table.shape), axis=-1)
-    mids = (cells + 0.5) / model.levels
-    ev = _BatchEvals(model, [
-        (role, mids.reshape((1,) * k + (m,) + (1,) * (len(roles) - 1 - k) + (model.dim,)))
-        for k, role in enumerate(roles)
-    ])
+    h = model.features((cells + 0.5) / model.levels)
+    grid = _BatchEvals(model, ())
+    for k, role in enumerate(roles):
+        grid.features[role] = h.reshape(model.dim, *(m if j == k else 1 for j in range(len(roles))))
+    values = grid.run(program)
     means: dict[EstimatorKind, dict[IndexSet, float]] = {}
-    for u, kinds in plan.items():  # set by set: the grid holds one set's blends at a time
-        sums: dict = {}
-        for kind in kinds:
-            factors = _term_factors(ev, kind, u, _resolve_center(model, kind))
-            means.setdefault(kind, {})[u] = _grid_mean(*factors, sums)
-        ev.release(kinds)
+    for kind, u, slot in slots:
+        means.setdefault(kind, {})[u] = values[slot]
     return means
 
 

@@ -12,15 +12,17 @@ so the suite can check, with no sampling error, that
 * the expanded Q factors equal the squares of the generalized kind's own
   factors D and E.
 
-Each trial makes one oracle call: one grid of the sampler's own
-``_BatchEvals`` (feature blends, table lookups and ``_term_factors``) on
-the cell midpoints, read set by set for every kind each set checks, which
-contracts each term's two factors over all joint grid states without
-building the grid; the kinds of a set share their differences and partial
-sums.  The Q identities read D and E from ``_term_factors`` on random
-points of a random product model.  So a wrong term, blend or lookup shows
-up here.  Any violation fails the suite, and a check's label is formed
-only when it fails.
+Each trial makes one oracle call: every kind each set checks is recorded
+through ``_term_factors`` into one ``_Program``, the sampler's own term
+program, and replayed once on the cell midpoints (the same feature
+blends, table lookups and differences), contracting each term's two
+factors over all joint grid states without building the grid; kinds
+share each difference and partial sum.  The Q identities replay D and E
+of the generalized kind the same way on random points of a random
+product model, and expand their squares from the same feature rows,
+each square or cross product of rows formed once per trial.  So a wrong
+term, blend or lookup shows up here.  Any violation fails the suite, and
+a check's label is formed only when it fails.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from typing import Callable
 import numpy as np
 
 from .core import ROLES, IndexSet
-from .estimators import KINDS, EstimatorKind, _BatchEvals, _term_factors
+from .estimators import KINDS, EstimatorKind, _BatchEvals, _Program, _term_factors
 from .models import BudgetError, DiscreteModel, ProductModel, discrete_anova
-from .theory import MAX_STATES, enumerate_expectations, q_uv, q_v
+from .theory import MAX_STATES, _q_uv_rows, _q_v_rows, _row_products, enumerate_expectations
 
 REL_TOL = 1e-10
 Q_TOL = 1e-12
@@ -124,8 +126,9 @@ def _check_enumerations(
 
 
 def _check_q_identities(ledger: _Ledger, rng: np.random.Generator, trial: int) -> None:
-    # D and E are the generalized kind's own factors, from the sampler's
-    # feature blends and values; q_v and q_uv expand their squares apart
+    # D and E are the generalized kind's own factors, replayed from the
+    # sampler's program; q_v and q_uv expand their squares apart, from the
+    # same feature rows
     d = int(rng.integers(2, 5))
     model = ProductModel(
         rng.uniform(0.5, 1.5, d),
@@ -133,18 +136,24 @@ def _check_q_identities(ledger: _Ledger, rng: np.random.Generator, trial: int) -
         [("uniform", "tent")[int(b)] for b in rng.integers(0, 2, d)],
     )
     x, y, z, w = (rng.random((100, d)) for _ in range(4))
-    ev = _BatchEvals(model, zip(ROLES, (x, y, z, w)))
     u = IndexSet.from_indices([1], d)
-    for v in u.complement().subsets():
-        left, right = _term_factors(ev, EstimatorKind("generalized", v=v, v2=v), u, None)
-        direct = left**2
-        expanded = q_v(model, x, z, v)
+    program = _Program(d)
+    gen = {v: EstimatorKind("generalized", v=v, v2=v) for v in u.complement().subsets()}
+    factors = {  # D and E of each v, kept to be read after the replay
+        v: [program.keep(s) for s in _term_factors(program, k, u, None)] for v, k in gen.items()
+    }
+    ev = _BatchEvals(model, zip(ROLES, (x, y, z, w)))
+    values = ev.run(program)
+    h2 = _row_products(ev.features, ("xx", "yy", "zz", "ww", "xz", "xw", "yw"))
+    for v, (left, right) in factors.items():
+        direct = values[left] ** 2
+        expanded = _q_v_rows(model, h2, v)
         ledger.check(
             float(np.max(np.abs(expanded - direct))) < Q_TOL * max(1.0, float(np.max(direct))),
             lambda: f"trial {trial}: Q_v equals the squared difference, v={v}",
         )
-        direct2 = right**2
-        expanded2 = q_uv(model, x, y, w, u, v)
+        direct2 = values[right] ** 2
+        expanded2 = _q_uv_rows(model, h2, u, v)
         ledger.check(
             float(np.max(np.abs(expanded2 - direct2))) < Q_TOL * max(1.0, float(np.max(direct2))),
             lambda: f"trial {trial}: Q_uv' equals the squared difference, v'={v}",

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sobolmc.core import BlockSampler, IndexSet, RngSpec, blend
-from sobolmc.estimators import EstimatorKind, _batch_terms, _BatchEvals, accumulate_terms
+from sobolmc.estimators import EstimatorKind, _BatchEvals, _Program, _term_factors, accumulate_terms
 from sobolmc.experiments import g_function_study, product6_study
 from sobolmc.models import (
     DiscreteModel,
@@ -256,6 +256,9 @@ def test_criterion_7_per_sample_zero_property():
     assert np.all(corr2 == 0.0)
     assert np.all(upper == 0.0)
     # and the sampler's own terms are the same exact zeros
-    ev = _BatchEvals(model, [("x", x), ("y", y), ("z", z)])
-    assert np.array_equal(_batch_terms(ev, EstimatorKind("correlation2"), u, None), corr2)
-    assert np.array_equal(_batch_terms(ev, EstimatorKind("upper"), u, None), upper)
+    program = _Program(4)
+    kinds = {EstimatorKind("correlation2"): corr2, EstimatorKind("upper"): upper}
+    slots = [program.keep(program.multiply(*_term_factors(program, kind, u, None))) for kind in kinds]
+    values = _BatchEvals(model, [("x", x), ("y", y), ("z", z)]).run(program)
+    for want, slot in zip(kinds.values(), slots):
+        assert np.array_equal(values[slot], want)

@@ -37,7 +37,7 @@ def run_cli(capsys, *argv):
 def _corrupt(monkeypatch, part: str, tag: str | None) -> None:
     """Break the oracle's code as one negative control; the exact suite must notice.
 
-    ``term`` scales one factor of the sampler's ``tag`` term, ``blend`` swaps
+    ``term`` scales one factor of the oracle's ``tag`` term, ``blend`` swaps
     the operands of a feature blend, ``axes`` reads the coordinate-major index
     rows in reverse, and ``q`` scales the expanded Q_v.
     """
@@ -50,13 +50,13 @@ def _corrupt(monkeypatch, part: str, tag: str | None) -> None:
             # a scale, not a shift: both correlation2 factors have mean
             # zero, so a shifted factor would leave the mean unchanged
             left, right = real_factors(ev, kind, u, center)
-            return (left * (1 + 1e-3), right) if kind.tag == tag else (left, right)
+            return (ev.multiply(1 + 1e-3, left), right) if kind.tag == tag else (left, right)
 
         monkeypatch.setattr(theory, "_term_factors", broken)
     elif part == "blend":
-        real_blended = estimators._BatchEvals.blended
+        real_blended = estimators._Program.blended
         monkeypatch.setattr(
-            estimators._BatchEvals,
+            estimators._Program,
             "blended",
             lambda self, role_a, role_b, u: real_blended(self, role_b, role_a, u),
         )
@@ -66,8 +66,8 @@ def _corrupt(monkeypatch, part: str, tag: str | None) -> None:
             models.DiscreteModel, "_values", lambda self, idx: real_values(self, idx[::-1])
         )
     else:
-        real_q_v = verification.q_v
-        monkeypatch.setattr(verification, "q_v", lambda *args: real_q_v(*args) * (1 + 1e-6))
+        real_q_v = verification._q_v_rows
+        monkeypatch.setattr(verification, "_q_v_rows", lambda *args: real_q_v(*args) * (1 + 1e-6))
 
 
 #: the full stdout of ``verify --levels 2 --dims 2 --trials 1`` under each
@@ -555,6 +555,30 @@ class TestEfficiencyTable:
         row = list(csv.DictReader(io.StringIO(out)))[1]
         assert row["u"] == "{3}" and row["eff_corr2"] == "" and row["se_eff_orcl2"] == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_terms_get_a_note(self, tmp_path, capsys):
+        # tau_1 = 1e77: every term overflows, so every variance is infinite
+        cfg = tmp_path / "exp.json"
+        model = {"kind": "product", "mu": [1, 1], "tau": [1e77, 1]}
+        doc = {"model": model, "us": [[1], [2]], "n": 200, "replicates": 2, "seed": 0}
+        cfg.write_text(json.dumps(doc))
+        note = (
+            "non-finite term variance for corr1, corr2, orcl1, orcl2; "
+            "efficiencies against a non-finite variance are undefined"
+        )
+        code, out, err = run_cli(capsys, "efficiency-table", "--config", str(cfg))
+        assert code == 0
+        assert out == (
+            "u,rel_index,var_corr1,var_corr2,var_orcl1,var_orcl2,eff_corr1,eff_corr2,"
+            "eff_orcl1,eff_orcl2,se_eff_corr2,se_eff_orcl1,se_eff_orcl2\n"
+            "{1},0.5,,,,,,,,,,,\n"
+            "{2},5e-155,,,,,,,,,,,\n"
+        )
+        assert err == f"# note {{1}}: {note}\n# note {{2}}: {note}\n"
+        code, out, _ = run_cli(capsys, "efficiency-table", "--config", str(cfg), "--format", "json")
+        assert code == 0
+        assert [row["note"] for row in json.loads(out)["rows"]] == [note, note]
+
     def test_zero_total_variance_gives_undefined_rel_index(self, tmp_path, capsys):
         cfg = tmp_path / "exp.json"
         model = {"kind": "product", "mu": [1, 1], "tau": [0, 0]}
@@ -657,8 +681,8 @@ class TestVerify:
         assert "[PASS]" in out
 
     def test_one_grid_per_trial(self, monkeypatch):
-        # one oracle call per trial, featurizing its grid once per role:
-        # 4 calls on a 3-d trial, not one per set or per kind
+        # one oracle call per trial, featurizing its grid midpoints once:
+        # every role's rows are views of them, not one call per role, set or kind
         from sobolmc import models
         from sobolmc.verification import verify_suite
 
@@ -671,7 +695,7 @@ class TestVerify:
 
         monkeypatch.setattr(models.DiscreteModel, "features", spy)
         assert verify_suite(levels=3, dims=3, trials=1, log=None) is True
-        assert len(calls) <= 4, len(calls)
+        assert len(calls) == 1, len(calls)
 
     @pytest.mark.parametrize(
         "part, tag",

@@ -16,11 +16,10 @@ from sobolmc.estimators import (
     _DRAW_ROWS,
     Accumulator,
     EstimatorKind,
-    _batch_terms,
     _batches,
     _BatchEvals,
+    _Program,
     _resolve_center,
-    _RowReads,
     _term_factors,
     accumulate_terms,
     run_estimator,
@@ -88,9 +87,27 @@ def u_of(ix, dim):
     return IndexSet.from_indices(ix, dim)
 
 
+def replay(ev, record) -> list:
+    """The arrays of the slots ``record(program)`` returns, replayed on batch ev."""
+    program = _Program(ev.model.dim)
+    slots = [program.keep(slot) for slot in record(program)]
+    values = ev.run(program)
+    return [values[slot] for slot in slots]
+
+
+def term_of(program, kind, u, center):
+    """The slot of one kind's per-sample term for set u."""
+    return program.multiply(*_term_factors(program, kind, u, center))
+
+
+def batch_terms(ev, kind, u, center):
+    """The sampler's per-sample terms of one kind on batch ev."""
+    return replay(ev, lambda program: [term_of(program, kind, u, center)])[0]
+
+
 def terms(model, kind, u, center=None, **arrays):
     """The sampler's per-sample terms of one kind over explicit input arrays."""
-    return _batch_terms(_BatchEvals(model, arrays.items()), kind, u, center)
+    return batch_terms(_BatchEvals(model, arrays.items()), kind, u, center)
 
 
 class TestTermExamples:
@@ -112,8 +129,8 @@ class TestTermExamples:
     def test_terms_keep_the_bits_of_the_literal_expressions(self):
         # every kind's sampled term is its module-docstring expression,
         # operation for operation, so splitting it into factors moves no bit;
-        # the kinds share one batch, as in the shared pass, so a product
-        # written into a cached value would break the kinds read after it
+        # the kinds share one program, as in the shared pass, so a product
+        # written into a shared value or factor would break the kinds read after it
         model = builtin_model("g")
         u, v, v2 = u_of([1], 3), u_of([2], 3), u_of([2, 3], 3)
         x, y, z, w = self.x, self.y, self.z, self.w
@@ -132,8 +149,9 @@ class TestTermExamples:
         }
         assert {kind.tag for kind in literal} == set(KINDS)
         ev = _BatchEvals(model, dict(x=x, y=y, z=z, w=w).items())
-        for kind, want in literal.items():
-            assert np.array_equal(_batch_terms(ev, kind, u, kind.center), want), kind.tag
+        got = replay(ev, lambda program: [term_of(program, kind, u, kind.center) for kind in literal])
+        for (kind, want), term in zip(literal.items(), got):
+            assert np.array_equal(term, want), kind.tag
 
     def test_correlation1_symbolic_linear_case(self):
         # f(x) = x_1 on d=2: the term is x_1 (x_1 - y_1)
@@ -697,11 +715,11 @@ class TestSharedPass:
         fresh = BlockSampler(rng, model.dim)
         for b in sizes:
             ev = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
-            fx.add_batch(ev.plain("x"))
+            fx.add_batch(replay(ev, lambda program: [program.plain("x")])[0])
             for u in us:
-                fb[u].add_batch(ev.blended("x", "y", u))
+                fb[u].add_batch(replay(ev, lambda program: [program.blended("x", "y", u)])[0])
                 for kind in kinds:
-                    want[kind, u].add_batch(_batch_terms(ev, kind, u, _resolve_center(model, kind)))
+                    want[kind, u].add_batch(batch_terms(ev, kind, u, _resolve_center(kind, model.mean)))
         for (kind, u), ref in want.items():
             got = accs[kind][u]
             # original keeps its cross term and the means of f(x) and f(x_u#y_-u)
@@ -817,17 +835,17 @@ class TestSharedPass:
                 max_size=12,
             )
         )
+        before = model.counter.count
+        got = replay(ev, lambda program: [
+            program.blended(a, b, IndexSet(bits, d)) for a, b, bits in requests
+        ])
         seen = set()
-        for role_a, role_b, b in requests:
-            u = IndexSet(b, d)
-            before = model.counter.count
-            got = ev.blended(role_a, role_b, u)
-            want = reference.evaluate(blend(points[role_a], points[role_b], u))
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for (role_a, role_b, b), value in zip(requests, got):
+            want = reference.evaluate(blend(points[role_a], points[role_b], IndexSet(b, d)))
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
             # a full blend is the plain left point, an empty one the plain right point
-            signature = (role_a,) if b == 2**d - 1 else (role_b,) if b == 0 else (role_a, role_b, b)
-            assert model.counter.count - before == (0 if signature in seen else size)
-            seen.add(signature)
+            seen.add((role_a,) if b == 2**d - 1 else (role_b,) if b == 0 else (role_a, role_b, b))
+        assert model.counter.count - before == size * len(seen)  # each signature evaluated once
 
     @pytest.mark.parametrize("d", range(1, 33))
     def test_row_products_match_numpy_prod(self, d):
@@ -874,9 +892,9 @@ class TestSharedPass:
         gen = np.random.default_rng(7)
         ev = _BatchEvals(model, [("x", gen.random((50, d))), ("y", gen.random((50, d)))])
         before = {role: f.copy() for role, f in ev.features.items()}
-        for bits in range(2**d):
-            ev.blended("x", "y", IndexSet(bits, d))
-            ev.blended("y", "x", IndexSet(bits, d))
+        replay(ev, lambda program: [
+            program.blended(a, b, IndexSet(bits, d)) for bits in range(2**d) for a, b in ("xy", "yx")
+        ])
         for role, f in ev.features.items():
             assert f.tobytes() == before[role].tobytes(), role
 
@@ -885,17 +903,26 @@ def _aligned(a: np.ndarray) -> bool:
     return a.ctypes.data % 64 == 0
 
 
+def _every_term(model, kinds, us, ev) -> list:
+    """Each kind's terms set by set, replayed on batch ev, folded and kept."""
+    def record(program):
+        slots = []
+        for u in us:
+            for kind in kinds:
+                slots.append(term_of(program, kind, u, _resolve_center(kind, model.mean)))
+                program.fold(slots[-1], Accumulator())
+        return slots
+
+    return replay(ev, record)
+
+
 def _batch_digest(model, kinds, us, ev) -> str:
     """sha256 of a batch: every role's rows, then each kind's terms set by set."""
     h = hashlib.sha256()
     for role in sorted(ev.features):
         h.update(ev.features[role].tobytes())
-    for u in us:
-        for kind in kinds:
-            term = _batch_terms(ev, kind, u, _resolve_center(model, kind))
-            h.update(term.tobytes())
-            ev.fold(Accumulator(), term)
-        ev.release(kinds)
+    for term in _every_term(model, kinds, us, ev):
+        h.update(term.tobytes())
     return h.hexdigest()
 
 
@@ -943,13 +970,9 @@ class TestWorkspace:
         for _ in range(2):  # a fresh workspace, then the same one reused
             for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size, every_row(model)):
                 assert all(_aligned(row) for role in ROLES for row in ev.features[role])
-                for u in us:
-                    for kind in self.EVERY_KIND:
-                        term = _batch_terms(ev, kind, u, _resolve_center(model, kind))
-                        assert _aligned(term) and all(map(_aligned, ev._temps)), kind.tag
-                        ev.fold(Accumulator(), term)
-                    assert all(map(_aligned, ev._cache.values()))
-                    ev.release(self.EVERY_KIND)
+                assert all(map(_aligned, _every_term(model, self.EVERY_KIND, us, ev)))
+                # every value, factor and deviation the replay formed is one of these
+                assert all(map(_aligned, [*ev._ws._lent.values(), *ev._ws._spare]))
 
     def test_interleaved_passes_equal_sequential_ones(self):
         # two generators on one thread each hold their own workspace
@@ -990,9 +1013,11 @@ class TestWorkspace:
         estimators._SPARE.clear()
         gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000, every_row(model))
         ev = next(gen)
-        ev.blended("x", "y", us[0])
-        ev.subtract(ev.plain("x"), 1.0)  # a value and a temporary still lent
+        replay(ev, lambda program: [  # values and a difference still lent
+            program.blended("x", "y", us[0]), program.subtract(program.plain("x"), 1.0)
+        ])
         ws = ev._ws
+        assert len(ws._lent) == 3
         gen.close()
         assert estimators._SPARE == [ws] and not ws._lent
         again, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
@@ -1089,15 +1114,18 @@ def _target_sets(d: int) -> dict:
 
 def _full_featurized(model, kind, u, n, rng, batch_size) -> list:
     """The (n, mean, m2) a pass must give, from every row of fresh batches."""
-    center = _resolve_center(model, kind)
+    center = _resolve_center(kind, model.mean)
     acc, fx, fb = Accumulator(), Accumulator(), Accumulator()
     fresh = BlockSampler(rng, model.dim)
     for done in range(0, n, batch_size):
         b = min(batch_size, n - done)
         ev = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
-        acc.add_batch(_batch_terms(ev, kind, u, center))
-        fx.add_batch(ev.plain("x"))
-        fb.add_batch(ev.blended("x", "y", u))
+        term, fx_values, fb_values = replay(ev, lambda program: [
+            term_of(program, kind, u, center), program.plain("x"), program.blended("x", "y", u)
+        ])
+        acc.add_batch(term)
+        fx.add_batch(fx_values)
+        fb.add_batch(fb_values)
     return [(a.n, a.mean, a.m2) for a in ([acc, fx, fb] if kind.tag == "original" else [acc])]
 
 
@@ -1118,7 +1146,7 @@ class TestRowReads:
         }
         assert set(want) == set(KINDS)
         for tag, rows in want.items():
-            reads = _RowReads(3)
+            reads = _Program(3)
             _term_factors(reads, EstimatorKind(tag), u, 0.0)
             assert {role: bits for role, bits in reads.rows.items() if bits} == rows, tag
 

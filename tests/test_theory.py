@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobolmc.core import BlockSampler, DimensionError, IndexSet, RngSpec, blend
-from sobolmc.estimators import KINDS, EstimatorKind, _BatchEvals, accumulate_terms
+from sobolmc.core import BlockSampler, DimensionError, IndexSet, RngSpec, blend, pick_rows
+from sobolmc.estimators import KINDS, EstimatorKind, _BatchEvals, _Program, accumulate_terms
 from sobolmc.models import (
     BudgetError,
     DiscreteModel,
@@ -20,6 +21,9 @@ from sobolmc.models import (
 from sobolmc.theory import (
     MAX_STATES,
     QFactors,
+    _q_uv_rows,
+    _q_v_rows,
+    _row_products,
     argmin_v,
     diff_fourth_moment,
     diff_fourth_moment_proxy,
@@ -32,6 +36,20 @@ from sobolmc.theory import (
 
 def u_of(ix, dim):
     return IndexSet.from_indices(ix, dim)
+
+
+def replayed_programs(monkeypatch) -> list:
+    """Every ``_Program`` replayed from now on, in the order its first replay starts."""
+    programs = []
+    real_schedule = _Program.schedule
+
+    def spy(self):
+        if all(program is not self for program in programs):
+            programs.append(self)
+        return real_schedule(self)
+
+    monkeypatch.setattr(_Program, "schedule", spy)
+    return programs
 
 
 class TestQFactorValues:
@@ -73,6 +91,45 @@ class TestQFactorValues:
         u = u_of([5], 6)
         with pytest.raises(ValueError, match="disjoint"):
             q_uv(self.model, self.x, self.y, self.w, u, u)
+
+    def test_row_cores_keep_the_bits_of_the_point_forms(self):
+        # q_v and q_uv as they featurized each call's points, squares and
+        # cross products of rows formed anew for each term; the row cores,
+        # fed row products formed once as the Q check forms them, and the
+        # point forms built on them give the same bits on 300 random models
+        def old_q_v(model, x, z, v):
+            hx, hz = model.features(x), model.features(z)
+            t1 = model._values(hx**2)
+            t2 = model._values(pick_rows(hx**2, hz**2, v))
+            t3 = model._values(pick_rows(hx**2, hx * hz, v))
+            return t1 + t2 - 2.0 * t3
+
+        def old_q_uv(model, x, y, w, u, v2):
+            hx, hy, hw = model.features(x), model.features(y), model.features(w)
+            a2 = model._values(pick_rows(hx**2, hy**2, u))
+            b2 = model._values(pick_rows(hy**2, hw**2, v2))
+            cross = model._values(pick_rows(hx * hw, pick_rows(hy**2, hy * hw, v2), u))
+            return a2 + b2 - 2.0 * cross
+
+        gen = np.random.default_rng(24)
+        for _ in range(300):
+            d = int(gen.integers(1, 6))
+            model = ProductModel(
+                gen.uniform(-2.0, 2.0, d),
+                gen.uniform(0.0, 3.0, d),
+                [("uniform", "tent")[int(b)] for b in gen.integers(0, 2, d)],
+            )
+            size = int(gen.integers(1, 40))
+            x, y, z, w = (gen.random((size, d)) for _ in range(4))
+            u = IndexSet(int(gen.integers(0, 2**d)), d)
+            v, v2 = (IndexSet(int(gen.integers(0, 2**d)) & ~u.bits, d) for _ in range(2))
+            h = {role: model.features(p) for role, p in zip("xyzw", (x, y, z, w))}
+            h2 = _row_products(h, ("xx", "yy", "zz", "ww", "xz", "xw", "yw"))
+            want_v, want_uv = old_q_v(model, x, z, v), old_q_uv(model, x, y, w, u, v2)
+            for got in (q_v(model, x, z, v), _q_v_rows(model, h2, v)):
+                assert got.tobytes() == want_v.tobytes()
+            for got in (q_uv(model, x, y, w, u, v2), _q_uv_rows(model, h2, u, v2)):
+                assert got.tobytes() == want_uv.tobytes()
 
 
 class TestFourthMoments:
@@ -271,6 +328,50 @@ def literal_enumeration(model, kind, u, num=float):
     return (math.fsum(terms) if num is float else sum(terms)) / len(terms)
 
 
+#: (d, L) of the pinned oracle tables; table k's values and pinned center
+#: are drawn from default_rng(k)
+PINNED_TABLES = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (1, 4), (2, 4), (3, 2), (3, 3)]
+
+#: sha256 of the float.hex() of every mean the oracle enumerates for each
+#: pinned table's plan, one per line in plan order: captured from the
+#: oracle's earlier cache-based implementation, so a replay that moves any
+#: bit of any mean fails
+PINNED_MEAN_DIGESTS = [
+    "646e0f2fb532e7dabd3ecee3d17035f7854d05c40c1349e4081fee20207f9818",
+    "095fe0a6e11b0514af3b27c3752c3284016ac04f25ac8c8f58dd50cca13e2da4",
+    "cc1e6b3ca62dfe84fb4f03bae29016e2dbf858ae1f2870a62b2052ed8bf26c98",
+    "1f42ebd26be157a067ea5328cf2063fb59ac2051733e6f5a9676fc24bae3d7b2",
+    "5de50134ada223ec4ab0ae0685233be6696b62040c145f819c03c07c8cdffae5",
+    "30cde9035c3ab37d50d00ce332beabd498143a3d3c4771d35ef26d513c005a10",
+    "d8697b5060a67bcafad0e137c8f09cb67e45d14bd50c0e0542ae3b23af5a22d2",
+    "5daa3f97b9c38493234c9555443a9d29c27fca4dc019bf84b4bdd2ab6719f233",
+    "f0d6d0f86c4fa16e038fe596293a45ce6302b919f9b2d9fbb0a2481d61518652",
+    "066cecb4724744c457a22d2db045894f4037d9746026a7c9b9de688e1837d2fb",
+    "53053500427bd7c393a8333a9f9c8d6a58c71d06301ad447aea486856b6a4b48",
+    "52c035856931207c5bd36739354587529f24d6ff73c7617cb57d79ab56ab331e",
+]
+
+
+def pinned_plan(k: int):
+    """Pinned table k, with every kind on every set: default and pinned centers, every (v, v2)."""
+    d, levels = PINNED_TABLES[k]
+    gen = np.random.default_rng(k)
+    model = DiscreteModel(gen.normal(size=(levels,) * d))
+    center = float(gen.uniform(-3.0, 3.0))
+    plain = [EstimatorKind(tag) for tag in KINDS] + [
+        EstimatorKind("oracle1", center=center),
+        EstimatorKind("oracle2", center=center),
+    ]
+    plan = {
+        u: plain + [
+            EstimatorKind("generalized", v=v, v2=v2)
+            for v, v2 in itertools.product(u.complement().subsets(), repeat=2)
+        ]
+        for u in IndexSet.full(d).subsets()
+    }
+    return model, plan
+
+
 class TestEnumerateExpectation:
     def test_against_literal_python_enumeration(self):
         model = DiscreteModel(np.random.default_rng(13).random((2, 2)))
@@ -381,20 +482,20 @@ class TestEnumerateExpectation:
             for kind in kinds:
                 assert got[kind][u] == enumerate_expectation(model, kind, u), (kind, u)
 
+    @pytest.mark.parametrize("k", range(len(PINNED_TABLES)))
+    def test_means_keep_their_pinned_bits(self, k):
+        model, plan = pinned_plan(k)
+        got = enumerate_expectations(model, plan)
+        text = "\n".join(got[kind][u].hex() for u, kinds in plan.items() for kind in kinds)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_MEAN_DIGESTS[k]
+
     def test_each_difference_is_formed_once_and_ends_with_its_set(self, monkeypatch):
         # the 16 (v, v2) pairs of a |u| = 1 set at d = 3 share 4 left factors
         # f(x) - f(x_v#z_-v) and 4 right ones f(x_u#y_-u) - f(y_v2#w_-v2); the
-        # grid caches each difference once and drops it with the set's blends
+        # program forms each difference once, and each ends with its set but
+        # f(x) - f(z), the v = {} left factor the next set reads too
         model = DiscreteModel(np.random.default_rng(9).random((2, 2, 2)))
-        held = []
-        real_release = _BatchEvals.release
-
-        def spy(self, kinds):
-            held.append([key for key in self._cache if key[0] == "-"])
-            real_release(self, kinds)
-            held.append([key for key in self._cache if key[0] == "-"])
-
-        monkeypatch.setattr(_BatchEvals, "release", spy)
+        programs = replayed_programs(monkeypatch)
         u = u_of([1], 3)
         pairs = [
             EstimatorKind("generalized", v=v, v2=v2)
@@ -402,22 +503,45 @@ class TestEnumerateExpectation:
         ]
         plan = {u: pairs, u_of([2, 3], 3): pairs[:1] + [EstimatorKind("oracle1")]}
         enumerate_expectations(model, plan)
-        before, after, _, last = held
-        assert sum(key[1] == ("x",) for key in before) == 4
-        assert sum(key[1] == ("x", "y", u.bits) for key in before) == 4
-        assert len(before) == 8
-        assert after == last == []
+        (program,) = programs
+        slot = program._slots
+        last = [k for k, op in enumerate(program._ops) if op[0] == "mean"][len(pairs) - 1]
+        diffs = [op for op in program._ops[: last + 1] if op[0] is np.subtract]
+        assert sum(op[2] == slot["x",] for op in diffs) == 4
+        assert sum(op[2] == slot["x", "y", u.bits] for op in diffs) == 4
+        assert len(diffs) == 8
+        ends = {s: k for k, op in enumerate(program.schedule()) for s in op[6]}
+        shared = slot[np.subtract, slot["x",], slot["z",]]
+        assert all(ends[op[1]] <= last for op in diffs if op[1] != shared)
+        assert ends[shared] > last
+
+    def test_one_difference_serves_correlation1_correlation2_and_oracle1(self, monkeypatch):
+        # each set records f(x_u#y_-u) - f(y) once and the three kinds' terms
+        # all read it, in a sampling pass as on the grid
+        model = DiscreteModel(np.random.default_rng(3).random((2, 2, 2)))
+        kinds = [EstimatorKind(tag) for tag in ("correlation1", "correlation2", "oracle1")]
+        us = [u_of([1], 3), u_of([2, 3], 3)]
+        programs = replayed_programs(monkeypatch)
+        accumulate_terms(model, kinds, us, 100, RngSpec(1))
+        enumerate_expectations(model, dict.fromkeys(us, kinds))
+        assert len(programs) == 2
+        for program, term in zip(programs, (np.multiply, "mean")):
+            slot = program._slots
+            for u in us:
+                operands = (slot["x", "y", u.bits], slot["y",])
+                (diff,) = [op[1] for op in program._ops if op[0] is np.subtract and op[2:4] == operands]
+                assert sum(op[0] is term and diff in op[2:4] for op in program._ops) == 3
 
     def test_signed_zero_centers_are_distinct_factors(self):
         # a center is keyed by its bits: f - 0.0 keeps a -0.0 value's sign, f - (-0.0) does not
         model = DiscreteModel(np.array([-0.0, 0.5]))
-        ev = _BatchEvals(model, [("x", np.array([[0.25], [0.75]]))])
-        fx = ev.plain("x")
-        pos, neg = ev.subtract(fx, 0.0), ev.subtract(fx, -0.0)
-        assert pos is not neg
-        assert ev.subtract(fx, 0.0) is pos and ev.subtract(fx, -0.0) is neg
-        assert np.signbit(pos[0]) and not np.signbit(neg[0])
-        assert not pos.flags.writeable
+        program = _Program(1)
+        fx = program.plain("x")
+        pos, neg = program.keep(program.subtract(fx, 0.0)), program.keep(program.subtract(fx, -0.0))
+        assert pos != neg
+        assert program.subtract(fx, 0.0) == pos and program.subtract(fx, -0.0) == neg
+        values = _BatchEvals(model, [("x", np.array([[0.25], [0.75]]))]).run(program)
+        assert np.signbit(values[pos][0]) and not np.signbit(values[neg][0])
 
     def test_budget_refusal(self):
         model = DiscreteModel(np.random.default_rng(0).random((3, 3)))
