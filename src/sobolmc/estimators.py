@@ -211,45 +211,20 @@ class _Workspace:
     """The 64-byte-aligned buffers of one sampling pass, kept for the next pass.
 
     ``array(name, shape, dtype)`` keeps one C-order array per name (the draw
-    chunk, each role's rows) and grows it only when asked for more bytes.
-    ``lend(b)`` hands out a batch-wide float64 buffer, a view of the first
-    b of ``width`` elements, and ``give`` takes it back for the next
-    ``lend``, so the spare buffers number the most a pass held at once.
+    chunk, each role's rows, each batch buffer of the replayed program) and
+    grows it only when asked for more bytes.
     """
 
     def __init__(self) -> None:
-        self.width = 0
-        self._arrays: dict[str, np.ndarray] = {}
-        self._spare: list[np.ndarray] = []
-        self._lent: dict[int, np.ndarray] = {}  # id of a lent view -> its buffer
+        self._arrays: dict[object, np.ndarray] = {}
 
-    def fit(self, width: int) -> None:
-        """Make every value buffer at least ``width`` float64 long."""
-        if width > self.width:
-            self.width = width
-            self._spare.clear()
-
-    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def array(self, name, shape: tuple[int, ...], dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
         buf = self._arrays.get(name)
         if buf is None or buf.size < nbytes:
             buf = self._arrays[name] = _aligned(nbytes)
         return buf[:nbytes].view(dtype).reshape(shape)
-
-    def lend(self, b: int) -> np.ndarray:
-        buf = self._spare.pop() if self._spare else _aligned(8 * self.width).view(np.float64)
-        view = buf[:b]
-        self._lent[id(view)] = buf
-        return view
-
-    def give(self, view: np.ndarray) -> None:
-        self._spare.append(self._lent.pop(id(view)))
-
-    def reclaim(self) -> None:
-        """Take back every buffer still lent."""
-        self._spare.extend(self._lent.values())
-        self._lent.clear()
 
 
 #: workspaces of finished passes; a pass pops one or builds its own, so
@@ -282,13 +257,14 @@ class _Program:
     ``fold`` (a pass adds it to an accumulator) or ``keep`` (read after the
     run).  Recording notes in ``rows`` a bitmask per role of the feature
     rows some value reads, so a pass featurizes only those, and each slot's
-    last read, so ``_BatchEvals.run`` ends the slot there.
+    last read, from which ``schedule`` plans the batch buffers once.
     """
 
     def __init__(self, dim: int) -> None:
         self._full = (1 << dim) - 1
         self.rows: dict[str, int] = {}
         self.size = 0  # slots
+        self.buffers = 0  # batch buffers the schedule's ops write
         self.consts: dict[int, float] = {}  # constant slot -> its center or scale
         self._ops: list[tuple] = []  # (op, out slot, a, b, extra)
         self._slots: dict[tuple, int] = {}
@@ -363,20 +339,42 @@ class _Program:
         return slot
 
     def schedule(self) -> list[tuple]:
-        """Each op as (op, out, a, b, extra, inplace, ends): ``ends`` are the
-        slots it reads last, ``inplace`` one of them that an op formed (its
-        right operand first), or None."""
+        """Each op as (op, out, a, b, extra, buf, ends), with ``buffers`` counted.
+
+        ``ends`` are the slots the op reads last.  ``buf`` numbers the batch
+        buffer the op writes; its slot holds it until the slot ends, and a
+        fold forms its deviations there and frees it at once.  An op takes
+        the buffer of an operand that an op formed and that ends there (the
+        right operand first), else the buffer freed last, once its own ends
+        are freed, else a new one.  So no op writes a buffer that a slot live
+        after it holds, and ``buffers`` is the most a batch holds at once.
+        """
         if self._schedule is None:
             ends: list = [()] * len(self._ops)
             for slot, k in self._last.items():
                 if slot not in self._kept and slot not in self.consts:
                     ends[k] += (slot,)
             formed = {out for op, out, *_ in self._ops if op is not _VALUE}
-            self._schedule = [
-                (op, out, a, b, extra,
-                 b if b in e and b in formed else a if a in e and a in formed else None, e)
-                for (op, out, a, b, extra), e in zip(self._ops, ends)
-            ]
+            held: dict[int, int] = {}  # a live slot -> its buffer
+            free: list[int] = []
+            schedule, buffers = [], 0
+            for (op, out, a, b, extra), e in zip(self._ops, ends):
+                reuse = b if b in e and b in formed else a if a in e and a in formed else None
+                for slot in e:  # a loop, not a comprehension: this runs per op of every trial
+                    if slot != reuse:
+                        free.append(held.pop(slot))
+                if reuse is not None:
+                    buf = held.pop(reuse)
+                elif free:
+                    buf = free.pop()
+                else:
+                    buf, buffers = buffers, buffers + 1
+                if op is _FOLD:
+                    free.append(buf)
+                else:
+                    held[out] = buf
+                schedule.append((op, out, a, b, extra, buf, e))
+            self.buffers, self._schedule = buffers, schedule
         return self._schedule
 
 
@@ -410,14 +408,12 @@ class _BatchEvals:
     and a blend is evaluated from rows picked by the set, so nothing is
     copied.  A sampling pass (``_batches``) keeps one instance for all its
     batches, over a ``_Workspace``: its ``features`` are views of role rows
-    the pass refills in place, a value counts the batch length, and every
-    value, factor, term and deviation is a workspace buffer.  A slot's
-    buffer goes back after its last read, and an op writes into the buffer
-    of a formed operand that it reads last.  Without a workspace (the exact
-    oracle over grid midpoints, one role per axis, and the Q check) every
-    op makes a new array, a value counts the points its rows broadcast to,
-    and a slot is dropped after its last read; each value and factor then
-    spans only the axes of the roles it reads.
+    the pass refills in place, and each op writes into the batch buffer
+    the program's schedule gave it.  Without a workspace (the exact oracle
+    over grid midpoints, one role per axis, and the Q check) every op makes
+    a new array and a slot is dropped after its last read; each value and
+    factor then spans only the axes of the roles it reads.  Either way a
+    value counts the points it holds.
     """
 
     def __init__(
@@ -433,36 +429,30 @@ class _BatchEvals:
 
     def run(self, program: _Program) -> list:
         """Replay the program on this batch; the values of its kept slots, by slot."""
-        model, feats, ws, n = self.model, self.features, self._ws, self._b
+        model, feats, ws, schedule = self.model, self.features, self._ws, program.schedule()
+        bufs = [None] * program.buffers if ws is None else [
+            ws.array(("buffer", k), (self._b,), np.float64) for k in range(program.buffers)
+        ]
         vals: list = [None] * program.size
         for slot, c in program.consts.items():
             vals[slot] = c
         sums: defaultdict[int, dict] = defaultdict(dict)  # a factor's grid partial sums
         layouts: dict = {}
-        for op, out, a, b, extra, inplace, ends in program.schedule():
+        for op, out, a, b, extra, buf, ends in schedule:
+            dest = bufs[buf]  # None without a workspace: the op makes a new array
             if op is _MEAN:
                 value = _grid_mean(vals[a], vals[b], sums[a], sums[b], layouts)
             elif op is _VALUE:  # a and b are roles, extra the set (None: plain a)
                 rows = feats[a] if extra is None else pick_rows(feats[a], feats[b], extra)
-                if ws is None:
-                    value = model._values(rows)
-                    model.counter.add(value.size)  # the points the rows broadcast to
-                else:
-                    model.counter.add(n)
-                    value = model._values(rows, out=ws.lend(n))
+                value = model._values(rows, out=dest)
+                model.counter.add(value.size)
             elif op is _FOLD:  # extra is the accumulator
-                dev = None if ws is None else vals[a] if inplace is not None else ws.lend(n)
-                extra._add(vals[a], dev)
-                if dev is not None and inplace is None:
-                    ws.give(dev)
+                extra._add(vals[a], dest)
                 value = None
             else:  # np.subtract or np.multiply
-                dest = None if ws is None else ws.lend(n) if inplace is None else vals[inplace]
                 value = op(vals[a], vals[b], out=dest)
             vals[out] = value
             for slot in ends:
-                if ws is not None and vals[slot] is not value:
-                    ws.give(vals[slot])
                 vals[slot] = None
                 sums.pop(slot, None)
         return vals
@@ -528,28 +518,26 @@ def _batches(
 
     It yields one ``_BatchEvals`` per batch, the same object refilled each
     time, so a caller is done with a batch when it asks for the next: a
-    batch's arrays are valid only until then, or until the pass ends.
-    Every batch takes back the buffers the previous batch still holds, then
-    draws each role in chunks of at most ``_DRAW_ROWS`` points into one
-    reused array and writes the features into the same rows,
-    ``rows[:, :b]``.  So a pass holds one batch, not two.  Only the rows
-    ``reads`` names (a bitmask per role, as a ``_Program`` notes them) are
-    featurized; the others hold whatever they held.  A role with some row
-    read is drawn in full, so its stream never changes; a role with none is
-    neither opened nor drawn, which changes no other role's numbers, since
-    each has its own stream.  All of it lives in one ``_Workspace``: the
-    draw chunk, each role's d feature rows (in the dtype the model's
-    features take, each row padded to a 64-byte stride), and the values,
-    factors, terms and deviations of the replayed program.  Every buffer
-    starts on a 64-byte boundary.  The pass pops a workspace that an
-    earlier pass left on ``_SPARE``, or builds one, and pushes it back when
-    it ends, so replicate passes, studies and ``estimate`` calls reuse the
-    same memory and concurrent passes each hold their own.  A spare keeps
-    what its widest pass held at once: the draw chunk, each role's rows,
-    and the slots of one set, because a blend or factor goes back after its
-    last read, and only the plain values and the slots several sets read
-    outlive a set.  That is one pass's peak, not one per set.  A pass wider
-    than ``DEFAULT_BATCH`` builds its own and leaves nothing behind.
+    batch's arrays are valid only until then, or until the pass ends.  Every
+    batch draws each role in chunks of at most ``_DRAW_ROWS`` points into
+    one reused array and writes the features into the same rows, ``rows[:,
+    :b]``.  So a pass holds one batch, not two.  Only the rows ``reads``
+    names (a bitmask per role, as a ``_Program`` notes them) are featurized;
+    the others hold whatever they held.  A role with some row read is drawn
+    in full, so its stream never changes; a role with none is neither opened
+    nor drawn, which changes no other role's numbers, since each has its own
+    stream.  All of it lives in one ``_Workspace``: the draw chunk, each
+    role's d feature rows (in the dtype the model's features take, each row
+    padded to a 64-byte stride), and the batch buffers of the replayed
+    program.  Every buffer starts on a 64-byte boundary.  The pass pops a
+    workspace that an earlier pass left on ``_SPARE``, or builds one, and
+    pushes it back when it ends, so replicate passes, studies and
+    ``estimate`` calls reuse the same memory and concurrent passes each hold
+    their own.  A spare keeps the draw chunk, each role's rows and the batch
+    buffers of the largest program it ran (``_Program.buffers``): room for
+    the plain values, the slots several sets read and one set's blends and
+    factors, not those of every set.  A pass wider than ``DEFAULT_BATCH``
+    builds its own and leaves nothing behind.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -567,7 +555,6 @@ def _batches(
     width = min(batch_size, n)
     kept = width <= DEFAULT_BATCH
     ws = _pop_spare() if kept else _Workspace()
-    ws.fit(width)
     ev = _BatchEvals(model, (), ws)
     try:
         sampler = BlockSampler(rng, model.dim)
@@ -582,7 +569,6 @@ def _batches(
         done = 0
         while done < n:
             b = min(batch_size, n - done)
-            ws.reclaim()  # the previous batch's buffers go back before this batch is drawn
             ev._b = b
             for role in roles:  # the stream continues chunk by chunk, so the points are the same
                 for start in range(0, b, len(draw)):
@@ -593,7 +579,6 @@ def _batches(
             yield ev
             done += b
     finally:
-        ws.reclaim()
         ev.features.clear()
         if kept:
             _SPARE.append(ws)

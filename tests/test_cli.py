@@ -63,7 +63,9 @@ def _corrupt(monkeypatch, part: str, tag: str | None) -> None:
     elif part == "axes":
         real_values = models.DiscreteModel._values
         monkeypatch.setattr(
-            models.DiscreteModel, "_values", lambda self, idx: real_values(self, idx[::-1])
+            models.DiscreteModel,
+            "_values",
+            lambda self, idx, out=None: real_values(self, idx[::-1], out),
         )
     else:
         real_q_v = verification._q_v_rows

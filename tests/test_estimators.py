@@ -76,8 +76,8 @@ class _Shifted(Model):
     def _feature(self, j, xj, out):
         self.inner._feature(j, xj, out)
 
-    def _values(self, features):
-        return self.inner._values(features) - self.c
+    def _values(self, features, out=None):
+        return np.subtract(self.inner._values(features), self.c, out=out)
 
     def mean(self):
         return self.inner.mean() - self.c
@@ -654,7 +654,7 @@ class TestSharedPass:
     @pytest.mark.parametrize("tag", ["correlation2", "generalized"])
     def test_a_pass_holds_one_batch_at_a_time(self, tag):
         # three batches of one set: the roles' feature rows are refilled in
-        # place and the last batch's values dropped before the next draw, so
+        # place and each batch's values written into the same buffers, so
         # the peak is one batch's d rows per role plus its values and term
         # temporaries, not the rows and values of two batches
         model = builtin_model("product6")
@@ -903,6 +903,11 @@ def _aligned(a: np.ndarray) -> bool:
     return a.ctypes.data % 64 == 0
 
 
+def _buffers(ws) -> list:
+    """The batch buffers a workspace keeps, by number (its other arrays are named by role)."""
+    return sorted(name for name in ws._arrays if isinstance(name, tuple))
+
+
 def _every_term(model, kinds, us, ev) -> list:
     """Each kind's terms set by set, replayed on batch ev, folded and kept."""
     def record(program):
@@ -933,6 +938,91 @@ def _states(accs) -> list:
         for kind, per_set in accs.items()
         for acc in per_set.values()
     ]
+
+
+def _plan(data, model) -> dict:
+    """1-4 target sets (the empty and full sets often among them), each with a mix of kinds."""
+    d, full = model.dim, 2**model.dim - 1
+    bits = st.one_of(st.sampled_from([0, full]), st.integers(0, full))
+    tags = data.draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=7, unique=True))
+    plan = {}
+    for b in data.draw(st.lists(bits, min_size=1, max_size=4, unique=True)):
+        u = IndexSet(b, d)
+        plan[u] = [EstimatorKind(tag) for tag in tags]
+        if "generalized" in tags:  # and an explicit (v, v') inside the complement of u
+            v, v2 = (data.draw(st.sampled_from(list(u.complement().subsets()))) for _ in "vv")
+            plan[u].append(EstimatorKind("generalized", v=v, v2=v2))
+    return plan
+
+
+def _record(program, model, plan) -> list:
+    """Fold every term of the plan, f(x) and each f(x_u#y_-u); the accumulators."""
+    accs = [Accumulator()]
+    program.fold(program.plain("x"), accs[0])
+    for u, kinds in plan.items():
+        for kind in kinds:
+            accs.append(Accumulator())
+            program.fold(term_of(program, kind, u, _resolve_center(kind, model.mean)), accs[-1])
+        accs.append(Accumulator())
+        program.fold(program.blended("x", "y", u), accs[-1])  # a value folded as it is
+    return accs
+
+
+class TestBufferPlan:
+    """The batch buffer each slot gets once per program, in ``_Program.schedule``."""
+
+    MODELS = {
+        "product": lambda seed, d: ProductModel(
+            np.random.default_rng(seed).uniform(0.5, 2.0, d),
+            np.random.default_rng(seed + 1).uniform(0.0, 1.0, d),
+            "tent" if seed % 2 else "uniform",
+        ),
+        "g": lambda seed, d: GFunction(np.random.default_rng(seed).uniform(0.0, 9.0, d)),
+        "discrete": lambda seed, d: random_discrete(seed, levels=3, dims=d),
+    }
+
+    @given(
+        st.sampled_from(sorted(MODELS)),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+        st.integers(2, 40),
+        st.data(),
+    )
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_a_workspace_pass_equals_a_replay_on_fresh_arrays(self, family, d, seed, batch_size, data):
+        model = self.MODELS[family](seed, d)
+        plan = _plan(data, model)
+        n = data.draw(st.integers(1, 3 * batch_size).filter(lambda n: n % batch_size))
+        program = _Program(d)
+        accs = _record(program, model, plan)
+        batches = []
+        for ev in _batches(model, ROLES, list(plan), n, RngSpec(seed), batch_size, program.rows):
+            batches.append({role: rows.copy() for role, rows in ev.features.items()})
+            ev.run(program)
+        got = [(acc.n, acc.mean, acc.m2) for acc in accs]
+        for acc in accs:
+            acc.n, acc.mean, acc.m2 = 0, 0.0, 0.0
+        for features in batches:  # the same program again, every op making a new array
+            fresh = _BatchEvals(model, ())
+            fresh.features.update(features)
+            fresh.run(program)
+        want = [(acc.n, acc.mean, acc.m2) for acc in accs]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+        # from the schedule alone: no op writes a buffer that a slot live after it holds
+        schedule = program.schedule()
+        last = {}  # slot -> the last op that reads it
+        for k, (op, out, a, b, *_) in enumerate(schedule):
+            if op != "value":  # a value reads rows; every other op reads slots a and b
+                last[a] = last[b] = k
+        ended = {slot for *_, ends in schedule for slot in ends}  # the rest are kept to the end
+        holds = {}  # slot -> its buffer
+        for k, (op, out, a, b, extra, buf, ends) in enumerate(schedule):
+            live = [s for s, held in holds.items() if held == buf and (s not in ended or last[s] > k)]
+            assert not live, (k, op, buf, live)
+            if op != "fold":  # a fold's deviations free their buffer at once
+                holds[out] = buf
+        assert program.buffers == 1 + max(buf for *_, buf, _ in schedule)
 
 
 class TestWorkspace:
@@ -971,8 +1061,8 @@ class TestWorkspace:
             for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size, every_row(model)):
                 assert all(_aligned(row) for role in ROLES for row in ev.features[role])
                 assert all(map(_aligned, _every_term(model, self.EVERY_KIND, us, ev)))
-                # every value, factor and deviation the replay formed is one of these
-                assert all(map(_aligned, [*ev._ws._lent.values(), *ev._ws._spare]))
+                # every value, factor and deviation the replay formed is in a batch buffer
+                assert all(map(_aligned, ev._ws._arrays.values())) and _buffers(ev._ws)
 
     def test_interleaved_passes_equal_sequential_ones(self):
         # two generators on one thread each hold their own workspace
@@ -1013,13 +1103,14 @@ class TestWorkspace:
         estimators._SPARE.clear()
         gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000, every_row(model))
         ev = next(gen)
-        replay(ev, lambda program: [  # values and a difference still lent
+        kept = replay(ev, lambda program: [  # two values and a difference, kept in buffers
             program.blended("x", "y", us[0]), program.subtract(program.plain("x"), 1.0)
         ])
         ws = ev._ws
-        assert len(ws._lent) == 3
+        assert _buffers(ws) == [("buffer", k) for k in range(3)]
+        assert all(any(np.shares_memory(a, b) for b in ws._arrays.values()) for a in kept)
         gen.close()
-        assert estimators._SPARE == [ws] and not ws._lent
+        assert estimators._SPARE == [ws]
         again, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
         assert estimators._SPARE == [ws]  # taken by the next pass and given back
         assert _states(again) == _states(fresh)
@@ -1061,26 +1152,30 @@ class TestWorkspace:
         estimators._SPARE.clear()
         run_estimator(model, kind, u, 1000, RngSpec(1))
         (spare,) = estimators._SPARE
+        before = {name: a.tobytes() for name, a in spare._arrays.items()}
         wide = DEFAULT_BATCH + 5
         run_estimator(model, kind, u, wide, RngSpec(1), batch_size=wide)
-        assert estimators._SPARE == [spare] and spare.width == 1000
+        assert estimators._SPARE == [spare]
+        assert {name: a.tobytes() for name, a in spare._arrays.items()} == before
         estimators._SPARE.clear()
         run_estimator(model, kind, u, wide, RngSpec(1), batch_size=wide)
         assert estimators._SPARE == []
 
     def test_a_many_set_pass_keeps_what_a_one_set_pass_keeps(self):
         # the generalized kind's blends over complement(u) go with set u, so
-        # a pass over all 63 sets of product6 leaves a workspace no larger
-        # than a one-set pass does, not two blends per set
+        # a pass over the 62 proper sets of product6 leaves a workspace no
+        # larger than a one-set pass does, not two blends per set.  The full
+        # set keeps one buffer more: there v = v2 = {} make the plain z and
+        # w, which every pass keeps to its end, the blends of the set
         model, kind = builtin_model("product6"), EstimatorKind("generalized")
         every = [IndexSet(bits, model.dim) for bits in range(1, 2**model.dim)]
         kept = []
-        for us in (every[:1], every):
+        for us in (every[:1], every[:-1], every):
             estimators._SPARE.clear()
             run_multi_u(model, kind, us, 2000, RngSpec(1), 1000)
             (ws,) = estimators._SPARE
-            kept.append((len(ws._spare), sum(a.nbytes for a in ws._arrays.values())))
-        assert kept[1] == kept[0] and kept[0][0] <= 8, kept
+            kept.append((len(_buffers(ws)), sum(a.nbytes for a in ws._arrays.values())))
+        assert kept[1] == kept[0] and kept[2][0] <= 5, kept
 
     def test_add_batch_never_writes_into_its_argument(self):
         values = np.linspace(-1.0, 3.0, 101)
