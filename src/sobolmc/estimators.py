@@ -507,7 +507,6 @@ def _resolve_center(kind: EstimatorKind, mean: Callable[[], float]) -> float | N
 
 def _batches(
     model: Model,
-    roles: Sequence[str],
     us: Sequence[IndexSet],
     n: int,
     rng: RngSpec,
@@ -551,7 +550,7 @@ def _batches(
     if len(set(us)) < len(us):  # one accumulator per set would take its batches twice
         repeated = next(u for k, u in enumerate(us) if u in us[:k])
         raise ValueError(f"target set {repeated} is repeated")
-    roles = [role for role in roles if reads.get(role, 0)]
+    roles = [role for role in ROLES if reads.get(role)]  # in stream order
     width = min(batch_size, n)
     kept = width <= DEFAULT_BATCH
     ws = _pop_spare() if kept else _Workspace()
@@ -605,7 +604,6 @@ def accumulate_terms(
     accs = {kind: {u: Accumulator() for u in us} for kind in kinds}
     original = EstimatorKind("original")
     fx, fb = Accumulator(), {u: Accumulator() for u in us}
-    roles = [r for r in ROLES if any(r in KINDS[kind.tag].roles for kind in kinds)]
     program = _Program(model.dim)
     if original in accs:
         program.fold(program.plain("x"), fx)
@@ -616,7 +614,7 @@ def accumulate_terms(
         if original in accs:
             program.fold(program.blended("x", "y", u), fb[u])
     start = model.counter.count
-    for ev in _batches(model, roles, us, n, rng, batch_size, program.rows):
+    for ev in _batches(model, us, n, rng, batch_size, program.rows):
         ev.run(program)
     if original in accs:
         accs[original] = {u: OriginalMoments(acc, fx, fb[u]) for u, acc in accs[original].items()}

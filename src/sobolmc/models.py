@@ -27,7 +27,7 @@ import copy
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,40 +42,6 @@ DEFAULT_MAX_CELLS = 10_000_000
 
 class BudgetError(RuntimeError):
     """An exact enumeration would exceed the configured state budget."""
-
-
-@dataclass(frozen=True)
-class FactorMoments:
-    """Third and fourth moments of a standardized factor shape.
-
-    gamma = integral of g^3, kappa = integral of g^4, for a shape with
-    integral 0 and second moment 1.  Feasibility requires
-    kappa >= 1 + gamma^2.
-    """
-
-    gamma: float
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.kappa) or not math.isfinite(self.gamma):
-            raise ValueError("factor moments must be finite")
-        if self.kappa < 1.0 + self.gamma**2 - 1e-12:
-            raise ValueError(
-                f"infeasible moments: kappa={self.kappa} < 1 + gamma^2={1 + self.gamma ** 2}"
-            )
-
-
-@dataclass(frozen=True)
-class FactorKind:
-    """A factor shape g with its third/fourth moments.
-
-    ``g(x, out=None)`` maps an array elementwise; given ``out`` (of x's
-    shape) it writes the values there and returns it.
-    """
-
-    name: str
-    g: Callable[..., np.ndarray]
-    moments: FactorMoments
 
 
 def _uniform_g(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -93,31 +59,9 @@ def _tent_g(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(_SQRT3, out, out=out)
 
 
-UNIFORM = FactorKind("uniform", _uniform_g, FactorMoments(0.0, 9.0 / 5.0))
-TENT = FactorKind("tent", _tent_g, FactorMoments(0.0, 9.0 / 5.0))
-
-FACTOR_KINDS = {"uniform": UNIFORM, "tent": TENT}
-
-# 16-node Gauss-Legendre on each quarter panel: exact for the piecewise
-# polynomial builtin shapes (the tent kink at 1/2 falls on a panel edge).
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_PANELS = [(k / 4.0, (k + 1) / 4.0) for k in range(4)]
-_QUAD_X = np.concatenate(
-    [(b - a) / 2.0 * _GL_NODES + (a + b) / 2.0 for a, b in _PANELS]
-)
-_QUAD_W = np.concatenate([(b - a) / 2.0 * _GL_WEIGHTS for a, b in _PANELS])
-
-
-def check_factor_kind(kind: FactorKind, tol: float = 1e-10) -> None:
-    """Verify integral(g) = 0 and integral(g^2) = 1 by composite quadrature."""
-    g = kind.g(_QUAD_X)
-    m1 = float(_QUAD_W @ g)
-    m2 = float(_QUAD_W @ g**2)
-    if abs(m1) > tol or abs(m2 - 1.0) > tol:
-        raise ValueError(
-            f"factor kind {kind.name!r} is not standardized: "
-            f"integral(g)={m1:.3e}, integral(g^2)={m2:.12f}"
-        )
+#: factor shape name -> (g, gamma, kappa): g(x, out=None) has integral 0 and
+#: second moment 1 on [0, 1], gamma and kappa are its integrals of g^3 and g^4
+SHAPES = {"uniform": (_uniform_g, 0.0, 9.0 / 5.0), "tent": (_tent_g, 0.0, 9.0 / 5.0)}
 
 
 @dataclass
@@ -223,7 +167,11 @@ class _FactorProduct(Model):
 
 
 class ProductModel(_FactorProduct):
-    """f(x) = prod_j (mu_j + tau_j g_j(x_j)) with standardized shapes g_j."""
+    """f(x) = prod_j (mu_j + tau_j g_j(x_j)) with standardized shapes g_j.
+
+    ``kinds`` names the shapes, one ``SHAPES`` key for every coordinate or
+    one per coordinate; ``self.kinds`` keeps the tuple of names.
+    """
 
     def __init__(self, mu: Sequence[float], tau: Sequence[float], kinds="uniform"):
         mu = np.asarray(mu, dtype=np.float64)
@@ -236,22 +184,21 @@ class ProductModel(_FactorProduct):
         if np.any(tau < 0.0):
             raise ValueError("tau must be nonnegative")
         super().__init__(mu.shape[0])
-        if isinstance(kinds, (str, FactorKind)):
+        if isinstance(kinds, str) or not isinstance(kinds, Iterable):
             kinds = [kinds] * self.dim
+        kinds = tuple(kinds)
+        bad = [k for k in kinds if not isinstance(k, str) or k not in SHAPES]
+        if bad:
+            raise ValueError(f"unknown factor shape {bad[0]!r}, expected one of {sorted(SHAPES)}")
         if len(kinds) != self.dim:
-            raise DimensionError("one factor kind per coordinate required")
-        resolved = []
-        for k in kinds:
-            kind = FACTOR_KINDS[k] if isinstance(k, str) else k
-            check_factor_kind(kind)
-            resolved.append(kind)
+            raise DimensionError("one factor shape per coordinate required")
         self.mu = mu
         self.tau = tau
-        self.kinds = tuple(resolved)
+        self.kinds = kinds
 
     def _feature(self, j: int, xj: np.ndarray, out: np.ndarray) -> None:
         # mu_j + tau_j g_j(x_j)
-        self.kinds[j].g(xj, out)
+        SHAPES[self.kinds[j]][0](xj, out)
         np.multiply(self.tau[j], out, out=out)
         np.add(self.mu[j], out, out=out)
 
@@ -361,8 +308,7 @@ def factor_raw_moments(model: ProductModel, j: int) -> tuple[float, float, float
         raise ValueError(f"coordinate {j} out of range for dimension {model.dim}")
     mu = float(model.mu[j - 1])
     tau = float(model.tau[j - 1])
-    gamma = model.kinds[j - 1].moments.gamma
-    kappa = model.kinds[j - 1].moments.kappa
+    _, gamma, kappa = SHAPES[model.kinds[j - 1]]
     m1 = mu
     m2 = mu**2 + tau**2
     m3 = mu**3 + 3.0 * mu * tau**2 + tau**3 * gamma
@@ -500,7 +446,7 @@ def model_from_json(obj: dict) -> Model:
     if not isinstance(obj, dict):
         raise ValueError("model configuration must be a JSON object")
     kind = obj.get("kind")
-    if kind not in _SCHEMA_KEYS:
+    if not isinstance(kind, str) or kind not in _SCHEMA_KEYS:  # a list or dict is unhashable
         raise ValueError(f"unknown model kind {kind!r}, expected one of {sorted(_SCHEMA_KEYS)}")
     extra = set(obj) - _SCHEMA_KEYS[kind]
     if extra:
@@ -513,9 +459,9 @@ def model_from_json(obj: dict) -> Model:
     if kind == "product":
         g = obj.get("g", "uniform")
         names = g if isinstance(g, list) else [g]
-        if not all(isinstance(name, str) and name in FACTOR_KINDS for name in names):
+        if not all(isinstance(name, str) and name in SHAPES for name in names):
             raise ValueError(
-                f"'g' must be one of {sorted(FACTOR_KINDS)} or a list of them, got {g!r}"
+                f"'g' must be one of {sorted(SHAPES)} or a list of them, got {g!r}"
             )
         return ProductModel(_numbers(obj, "mu"), _numbers(obj, "tau"), g)
     levels = obj["levels"]

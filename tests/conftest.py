@@ -1,4 +1,14 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Loads a deterministic Hypothesis profile and prints one PASS/FAIL line per
+acceptance criterion after the run.
+
+Every property test draws the same examples on every run, derived from the
+test itself, and reads or writes no example database.
+"""
+
+from hypothesis import settings
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _RESULTS = []
 

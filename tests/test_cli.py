@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import inspect
 import io
@@ -5,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sobolmc
 from sobolmc import cli
@@ -16,6 +19,7 @@ from sobolmc.cli import main
 from sobolmc.core import BlockSampler
 from sobolmc.estimators import TAG_OF_ALIAS
 from sobolmc.experiments import BUILTIN_STUDIES, builtin_config
+from sobolmc.models import SHAPES
 
 
 #: a subcommand with its required flags, for the flag-bound checks
@@ -1080,3 +1084,126 @@ def test_a_reused_parser_leaks_no_state(tmp_path, capsys):
         assert cli._parser() is not parser
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
     assert reused == fresh
+
+
+# Generated model and experiment documents: each run of ``estimate --model
+# FILE`` or ``efficiency-table --config FILE`` exits 0 with strict JSON, or 2
+# naming the file or the key; never 1, never a traceback.
+
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), 1e308, -1e308, -1.0, True, "1", None]
+_JUNK = st.one_of(
+    st.sampled_from([None, True, 0, 1, 2, -2, 0.5, "", "x", [], {}, {"kind": "g"}]),
+    st.sampled_from(_BAD_NUMBERS),
+    st.lists(st.sampled_from(_BAD_NUMBERS + [0.5]), max_size=2),
+)
+_SHAPE_ENTRIES = st.one_of(st.sampled_from(sorted(SHAPES) + ["bad", "Tent"]), _JUNK)
+
+
+@st.composite
+def _mutated(draw, doc: dict, others: list[str]) -> dict:
+    """doc with up to two keys dropped, added, junked, emptied or given a bad entry."""
+    doc = dict(doc)
+    for _ in range(draw(st.integers(0, 2))):
+        how = draw(st.sampled_from(["drop", "add", "junk", "empty", "entry"]))
+        if how == "add":
+            doc[draw(st.sampled_from(others + ["extra"]))] = draw(_JUNK)
+            continue
+        if not doc:
+            break
+        key = draw(st.sampled_from(sorted(doc)))
+        if how == "drop":
+            del doc[key]
+        elif how == "junk":
+            doc[key] = draw(_JUNK)
+        elif how == "empty":
+            doc[key] = []
+        elif isinstance(doc[key], list) and doc[key]:
+            entries = list(doc[key])
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(_BAD_NUMBERS))
+            doc[key] = entries
+    return doc
+
+
+_GOOD = st.sampled_from([0.0, 0.25, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def model_documents(draw) -> dict:
+    kind = draw(st.sampled_from(["g-function", "product", "discrete"]))
+    d = draw(st.integers(1, 3))
+    values = st.lists(_GOOD, min_size=d, max_size=d)
+    if kind == "g-function":
+        doc = {"kind": kind, "a": draw(values)}
+    elif kind == "product":
+        doc = {"kind": kind, "mu": draw(values), "tau": draw(values)}
+        g = draw(st.one_of(
+            st.none(),
+            st.sampled_from(sorted(SHAPES)),
+            st.lists(st.sampled_from(sorted(SHAPES)), min_size=d, max_size=d),
+            st.lists(_SHAPE_ENTRIES, min_size=max(d - 1, 0), max_size=d + 1),
+            _SHAPE_ENTRIES,
+        ))
+        if g is not None:
+            doc["g"] = g
+    else:
+        levels = draw(st.integers(1, 3))
+        cells = levels ** draw(st.integers(1, 3 if levels < 3 else 2))
+        doc = {"kind": kind, "levels": levels, "table": draw(st.lists(_GOOD, min_size=cells, max_size=cells))}
+    return draw(_mutated(doc, ["kind", "a", "mu", "tau", "g", "levels", "table"]))
+
+
+@st.composite
+def config_documents(draw) -> dict:
+    doc = {
+        "model": draw(st.one_of(st.sampled_from(["g", "product6"]), model_documents())),
+        "us": draw(st.sampled_from([[[1]], [[1], [2]], [[1, 2]], [[2]]])),
+        "n": draw(st.integers(2, 17)),
+        "replicates": draw(st.integers(1, 3)),
+        "seed": draw(st.sampled_from([0, 7, 2**64])),
+    }
+    if draw(st.booleans()):
+        doc["batch_size"] = draw(st.integers(1, 17))
+    if draw(st.booleans()):
+        doc["workers"] = draw(st.sampled_from([None, 1, 2]))
+    if draw(st.booleans()):
+        doc["center"] = draw(st.sampled_from(["mean", 1.0, 0.5]))
+    if draw(st.booleans()):
+        doc["kinds"] = draw(st.sampled_from([["correlation1"], ["corr1", "orcl2"], ["correlation1", "original"]]))
+    elif draw(st.booleans()):
+        doc["include_original"] = draw(st.booleans())
+    others = ["us", "center", "kinds", "include_original", "batch_size", "workers", "model"]
+    return draw(_mutated(doc, others))
+
+
+def _exits_cleanly(tmp_dir, doc, argv) -> None:
+    path = tmp_dir / "doc.json"
+    path.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity as JSON's extension tokens
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        warnings.simplefilter("ignore", RuntimeWarning)  # finite parameters may overflow
+        mp.delenv("SOBOL_THREADS", raising=False)  # a missing "workers" runs on 1 thread
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (doc, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert str(path) in err or any(repr(key) in err for key in doc), (doc, err)
+    else:
+        strict_json(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_documents(), st.sampled_from(["corr1", "corr2", "orcl1", "gen", "upper", "original"]))
+def test_generated_model_documents_exit_cleanly(tmp_path_factory, doc, alias):
+    argv = ["estimate", "--model", "FILE", "--u", "1", "--n", "17", "--estimator", alias]
+    _exits_cleanly(tmp_path_factory.getbasetemp(), doc, argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_documents())
+def test_generated_config_documents_exit_cleanly(tmp_path_factory, doc):
+    argv = ["efficiency-table", "--config", "FILE", "--format", "json"]
+    _exits_cleanly(tmp_path_factory.getbasetemp(), doc, argv)

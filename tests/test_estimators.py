@@ -699,7 +699,7 @@ class TestSharedPass:
         us = [IndexSet.empty(model.dim), IndexSet.full(model.dim)]
         fresh = BlockSampler(rng, model.dim)
         sizes = []
-        for ev in _batches(model, ROLES, us, n, rng, batch_size, every_row(model)):
+        for ev in _batches(model, us, n, rng, batch_size, every_row(model)):
             b = ev.features["x"].shape[-1]
             want = _BatchEvals(model, [(role, fresh.draw_role(role, b)) for role in ROLES])
             for role in ROLES:
@@ -754,7 +754,7 @@ class TestSharedPass:
                 for x, y in pairs:
                     assert (x.n, x.mean, x.m2) == (y.n, y.mean, y.m2), (kind.tag, u)
 
-    @settings(max_examples=25, deadline=None, derandomize=True)
+    @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_sampled_means_match_the_exact_oracle(self, data):
         # every kind's term mean from one shared pass lies within 5 SE of the
@@ -778,7 +778,7 @@ class TestSharedPass:
                 se = math.sqrt(acc.variance() / n)
                 assert abs(acc.mean - exact) <= 5 * se + 1e-9 * max(1.0, abs(exact)), (kind.tag, u)
 
-    @settings(max_examples=6, deadline=None, derandomize=True)
+    @settings(max_examples=6, deadline=None)
     @given(st.data())
     def test_study_runner_matches_the_exact_oracle(self, data):
         # the replicate runner on 1 and 2 workers: the same CSV bytes, and
@@ -988,7 +988,7 @@ class TestBufferPlan:
         st.integers(2, 40),
         st.data(),
     )
-    @settings(max_examples=60, derandomize=True, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_a_workspace_pass_equals_a_replay_on_fresh_arrays(self, family, d, seed, batch_size, data):
         model = self.MODELS[family](seed, d)
         plan = _plan(data, model)
@@ -996,7 +996,7 @@ class TestBufferPlan:
         program = _Program(d)
         accs = _record(program, model, plan)
         batches = []
-        for ev in _batches(model, ROLES, list(plan), n, RngSpec(seed), batch_size, program.rows):
+        for ev in _batches(model, list(plan), n, RngSpec(seed), batch_size, program.rows):
             batches.append({role: rows.copy() for role, rows in ev.features.items()})
             ev.run(program)
         got = [(acc.n, acc.mean, acc.m2) for acc in accs]
@@ -1058,7 +1058,7 @@ class TestWorkspace:
         us = [IndexSet(b, d) for b in sorted({0, 1, 2**d - 2, 2**d - 1})]
         estimators._SPARE.clear()
         for _ in range(2):  # a fresh workspace, then the same one reused
-            for ev in _batches(model, ROLES, us, batch_size + 5, RngSpec(2), batch_size, every_row(model)):
+            for ev in _batches(model, us, batch_size + 5, RngSpec(2), batch_size, every_row(model)):
                 assert all(_aligned(row) for role in ROLES for row in ev.features[role])
                 assert all(map(_aligned, _every_term(model, self.EVERY_KIND, us, ev)))
                 # every value, factor and deviation the replay formed is in a batch buffer
@@ -1073,7 +1073,7 @@ class TestWorkspace:
         sets = {m.dim: [IndexSet(1, m.dim), IndexSet(2**m.dim - 2, m.dim)] for m, _, _ in specs}
 
         def run(model, rng, batch_size):
-            return _batches(model, ROLES, sets[model.dim], 2500, rng, batch_size, every_row(model))
+            return _batches(model, sets[model.dim], 2500, rng, batch_size, every_row(model))
 
         estimators._SPARE.clear()  # the first sequential pass builds a fresh workspace
         want = [
@@ -1101,7 +1101,7 @@ class TestWorkspace:
         estimators._SPARE.clear()
         fresh, _ = accumulate_terms(model.clone(), self.EVERY_KIND, us, 5000, RngSpec(6), 1000)
         estimators._SPARE.clear()
-        gen = _batches(model, ROLES, us, 5000, RngSpec(6), 1000, every_row(model))
+        gen = _batches(model, us, 5000, RngSpec(6), 1000, every_row(model))
         ev = next(gen)
         kept = replay(ev, lambda program: [  # two values and a difference, kept in buffers
             program.blended("x", "y", us[0]), program.subtract(program.plain("x"), 1.0)

@@ -9,15 +9,11 @@ from sobolmc.core import DimensionError, IndexSet
 from sobolmc.models import (
     BudgetError,
     DiscreteModel,
-    FactorKind,
-    FactorMoments,
+    SHAPES,
     GFunction,
     ProductModel,
-    TENT,
-    UNIFORM,
     analytic_anova,
     builtin_model,
-    check_factor_kind,
     discrete_anova,
     factor_raw_moments,
     g_as_product,
@@ -37,31 +33,33 @@ def simpson(f, a, b, n=4096):
 
 
 class TestFactorKinds:
-    @pytest.mark.parametrize("kind", [UNIFORM, TENT])
-    def test_standardized(self, kind):
-        check_factor_kind(kind)
-        assert abs(simpson(kind.g, 0, 1)) < 1e-12
-        assert abs(simpson(lambda x: kind.g(x) ** 2, 0, 1) - 1.0) < 1e-12
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_standardized(self, name):
+        g = SHAPES[name][0]
+        assert abs(simpson(g, 0, 1)) < 1e-12
+        assert abs(simpson(lambda x: g(x) ** 2, 0, 1) - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("kind", [UNIFORM, TENT])
-    def test_third_and_fourth_moments(self, kind):
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_third_and_fourth_moments(self, name):
         # closed forms: both shapes are symmetric with E g^4 = 9/5
         # (tent: |4x-2| ~ U[0,2] so E|4x-2|^k = 2^k/(k+1))
-        assert kind.moments.gamma == 0.0
-        assert kind.moments.kappa == pytest.approx(9.0 / 5.0, rel=1e-15)
-        assert simpson(lambda x: kind.g(x) ** 3, 0, 1) == pytest.approx(0.0, abs=1e-12)
-        assert simpson(lambda x: kind.g(x) ** 4, 0, 1) == pytest.approx(1.8, rel=1e-12)
+        g, gamma, kappa = SHAPES[name]
+        assert gamma == 0.0
+        assert kappa == pytest.approx(9.0 / 5.0, rel=1e-15)
+        assert simpson(lambda x: g(x) ** 3, 0, 1) == pytest.approx(0.0, abs=1e-12)
+        assert simpson(lambda x: g(x) ** 4, 0, 1) == pytest.approx(1.8, rel=1e-12)
 
-    def test_unstandardized_kind_rejected(self):
-        bad = FactorKind("bad", lambda x: x, FactorMoments(0.0, 3.0))
-        with pytest.raises(ValueError, match="not standardized"):
-            check_factor_kind(bad)
-        with pytest.raises(ValueError, match="not standardized"):
-            ProductModel([1.0], [1.0], bad)
+    @pytest.mark.parametrize(
+        "kinds", ["bad", ["uniform", "bad"], ["uniform", None], [SHAPES["tent"][0]] * 2, object()]
+    )
+    def test_unknown_shape_refused_before_any_evaluation(self, kinds):
+        with pytest.raises(ValueError, match=r"unknown factor shape .*\['tent', 'uniform'\]"):
+            ProductModel([1.0, 1.0], [1.0, 1.0], kinds)
 
-    def test_infeasible_moments_rejected(self):
-        with pytest.raises(ValueError, match="infeasible"):
-            FactorMoments(2.0, 1.0)  # kappa < 1 + gamma^2
+    @pytest.mark.parametrize("kinds", [["uniform"], ["tent"] * 3, []])
+    def test_wrong_number_of_shapes_refused(self, kinds):
+        with pytest.raises(DimensionError, match="one factor shape per coordinate"):
+            ProductModel([1.0, 1.0], [1.0, 1.0], kinds)
 
 
 class TestEvaluate:
@@ -114,7 +112,7 @@ def literal_features(model, x):
             "tent": lambda t: math.sqrt(3.0) * (np.abs(4.0 * t - 2.0) - 1.0),
         }
         rows = [
-            model.mu[j] + model.tau[j] * shapes[model.kinds[j].name](xs[j]) for j in range(model.dim)
+            model.mu[j] + model.tau[j] * shapes[model.kinds[j]](xs[j]) for j in range(model.dim)
         ]
     elif isinstance(model, DiscreteModel):
         return np.floor(xs * model.levels).astype(np.int64)
@@ -267,7 +265,7 @@ class TestGAsProduct:
         prod = g_as_product(GFunction([19.0, 9.0, 4.0]))
         assert np.allclose(prod.mu, 3.0)
         assert prod.tau**2 == pytest.approx([1 / 1200, 1 / 300, 1 / 75], rel=1e-14)
-        assert all(k.name == "tent" for k in prod.kinds)
+        assert prod.kinds == ("tent",) * 3
 
     def test_seven_effect_variances(self):
         rep = product_anova(g_as_product(GFunction([19.0, 9.0, 4.0])))
@@ -433,9 +431,9 @@ class TestFactorRawMoments:
 
     def test_moments_match_quadrature(self):
         model = ProductModel([1.5, 0.7], [0.4, 1.2], ["uniform", "tent"])
-        for j, kind in ((1, UNIFORM), (2, TENT)):
-            mu, tau = model.mu[j - 1], model.tau[j - 1]
-            h = lambda x: mu + tau * kind.g(x)  # noqa: B023
+        for j, name in ((1, "uniform"), (2, "tent")):
+            mu, tau, g = model.mu[j - 1], model.tau[j - 1], SHAPES[name][0]
+            h = lambda x: mu + tau * g(x)  # noqa: B023
             want = tuple(simpson(lambda x: h(x) ** p, 0, 1) for p in (1, 2, 3, 4))
             assert factor_raw_moments(model, j) == pytest.approx(want, rel=1e-12)
 
@@ -454,7 +452,7 @@ class TestModelJson:
             {"kind": "product", "mu": [1, 1], "tau": [0.5, 0.25], "g": "tent"}
         )
         assert isinstance(m, ProductModel)
-        assert m.kinds[0].name == "tent"
+        assert m.kinds == ("tent", "tent")
 
     def test_discrete(self):
         m = model_from_json({"kind": "discrete", "levels": 3, "table": list(range(9))})

@@ -454,7 +454,7 @@ class TestEnumerateExpectation:
         enumerate_expectations(model, {u_of([1], 2): kinds})
         assert model.counter.count == 4 + 4 + 16 + 16
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
+    @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_one_call_equals_one_call_per_kind_and_set(self, data):
         # one plan over every set, with every kind, pinned and default centers
